@@ -18,6 +18,7 @@
 module Experiments = Ks_workload.Experiments
 module Attacks = Ks_workload.Attacks
 module Inputs = Ks_workload.Inputs
+module Run = Ks_workload.Run
 module Params = Ks_core.Params
 module Prng = Ks_stdx.Prng
 
@@ -50,27 +51,11 @@ let run_table = function
 
 (* --- Bechamel micro-benchmarks: one kernel per table. --- *)
 
-let everywhere_kernel ~n ~scenario ~seed () =
+let protocol_kernel p ~n ~scenario ~seed () =
   let params = Params.practical n in
-  let rng = Prng.create seed in
-  let inputs = Inputs.generate rng ~n Inputs.Split in
-  let tree = Ks_topology.Tree.build (Prng.split rng) (Params.tree_config params) in
-  let budget = Attacks.budget_of scenario ~params in
-  Ks_core.Everywhere.run ~params ~seed ~inputs ~behavior:scenario.Attacks.behavior
-    ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-    ~a2e_strategy:(fun ~carried ~coin ->
-      Attacks.a2e_strategy scenario ~params ~coin ~carried)
-    ~budget ()
-
-let ae_ba_kernel ~n ~seed () =
-  let params = Params.practical n in
-  let rng = Prng.create seed in
-  let inputs = Inputs.generate rng ~n Inputs.Split in
-  let tree = Ks_topology.Tree.build (Prng.split rng) (Params.tree_config params) in
-  let scenario = Attacks.byzantine_static in
-  Ks_core.Ae_ba.run ~params ~seed ~inputs ~behavior:scenario.Attacks.behavior
-    ~strategy:(Attacks.tree_strategy scenario ~params ~tree)
-    ~budget:(Attacks.budget_of scenario ~params) ()
+  let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+  Run.run p ~params ~seed ~inputs ~adversary:(Attacks.adversary scenario)
+    ~budget:(Attacks.budget_of scenario ~params)
 
 let aeba_coin_kernel ~n ~seed () =
   let params = Params.practical n in
@@ -104,14 +89,16 @@ let bechamel_tests =
   let open Bechamel in
   [
     Test.make ~name:"t1/t10: everywhere BA, n=32, 25% byz"
-      (Staged.stage (everywhere_kernel ~n:32 ~scenario:Attacks.byzantine_static ~seed:1L));
+      (Staged.stage
+         (protocol_kernel Run.Everywhere ~n:32 ~scenario:Attacks.byzantine_static
+            ~seed:1L));
     Test.make ~name:"t2: rabin all-to-all, n=256"
-      (Staged.stage (fun () ->
-           Ks_baselines.Rabin.run ~seed:1L ~n:256 ~budget:64 ~rounds:16 ~epsilon:0.08
-             ~inputs:(Array.init 256 (fun i -> i mod 2 = 0))
-             ~strategy:Ks_sim.Adversary.crash_random));
+      (Staged.stage
+         (protocol_kernel Run.Rabin ~n:256 ~scenario:Attacks.crash ~seed:1L));
     Test.make ~name:"t3: almost-everywhere BA, n=32"
-      (Staged.stage (ae_ba_kernel ~n:32 ~seed:2L));
+      (Staged.stage
+         (protocol_kernel Run.Ae ~n:32 ~scenario:Attacks.byzantine_static
+            ~seed:2L));
     Test.make ~name:"t4: algorithm 5, n=256, 8 rounds"
       (Staged.stage (aeba_coin_kernel ~n:256 ~seed:3L));
     Test.make ~name:"t5: feige election, r=256"
@@ -127,8 +114,9 @@ let bechamel_tests =
       (Staged.stage (fun () ->
            Ks_sampler.Sampler.create (Prng.create 7L) ~r:1024 ~s:1024 ~d:16));
     Test.make ~name:"t9: everywhere BA at the threshold, n=32, 33%"
-      (Staged.stage (fun () ->
-           everywhere_kernel ~n:32 ~scenario:Attacks.byzantine_static ~seed:8L ()));
+      (Staged.stage
+         (protocol_kernel Run.Everywhere ~n:32 ~scenario:Attacks.byzantine_static
+            ~seed:8L));
   ]
 
 let run_bechamel () =

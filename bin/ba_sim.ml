@@ -1,35 +1,25 @@
 (* ba_sim — command-line driver for the King–Saia reproduction.
 
    Run one protocol at a chosen size, adversary and seed, and print the
-   outcome and communication costs:
+   outcome and communication costs.  Every adversary comes from one
+   registry ([Attacks.registry]): the six scenario presets and the six
+   strategies of the attack library.  [--adversary] and [--attack] both
+   name a registry entry ([--attack] wins when both are given); presets
+   pick their own corruption count, attacks take [--corrupt].  Each
+   protocol runs through [Ks_workload.Run]:
 
      ba_sim run --protocol everywhere -n 128 --adversary byz-static --seed 7
+     ba_sim run --protocol ae -n 64 --attack equivocate --corrupt 0.2
      ba_sim run --protocol rabin -n 256 --adversary crash
      ba_sim inspect -n 1024            # show parameters, tree and layout
 *)
 
 module Params = Ks_core.Params
 module Attacks = Ks_workload.Attacks
+module Run = Ks_workload.Run
 module Inputs = Ks_workload.Inputs
 module Prng = Ks_stdx.Prng
 open Cmdliner
-
-let scenario_of_name name =
-  match List.find_opt (fun s -> s.Attacks.label = name) Attacks.all with
-  | Some s -> Ok s
-  | None ->
-    Error
-      (Printf.sprintf "unknown adversary %S (one of: %s)" name
-         (String.concat ", " (List.map (fun s -> s.Attacks.label) Attacks.all)))
-
-let attack_of_name name =
-  match Ks_attacks.find name with
-  | Some a -> Ok a
-  | None ->
-    Error
-      (Printf.sprintf "unknown attack %S (one of: %s; see --list-attacks)" name
-         (String.concat ", "
-            (List.map (fun a -> a.Ks_attacks.name) Ks_attacks.all)))
 
 let inputs_of_name rng ~n = function
   | "split" -> Ok (Inputs.generate rng ~n Inputs.Split)
@@ -46,167 +36,78 @@ let exit_agreed = 0
 let exit_degraded = 3
 let exit_failed = 4
 
-let report_everywhere ~label ~budget ~n r =
+let print_counters (o : _ Run.outcome) =
+  Printf.printf "decode_failures=%d retries_used=%d shortfalls=%d quarantined=%d\n"
+    o.decode_failures o.retries o.shortfalls o.quarantined
+
+(* One reporter per protocol family; each returns why the run failed,
+   if it did. *)
+let report_everywhere ~label ~budget ~n (o : Ks_core.Everywhere.result Run.outcome) =
+  let r = o.detail in
   Printf.printf "everywhere BA: n=%d adversary=%s budget=%d\n" n label budget;
-  Printf.printf "  success=%b safe=%b value=%s\n" r.Ks_core.Everywhere.success
-    r.Ks_core.Everywhere.safe
-    (match r.Ks_core.Everywhere.agreed_value with
-     | Some v -> string_of_int v
-     | None -> "-");
+  Printf.printf "  success=%b safe=%b value=%s\n" o.agreed r.safe
+    (match o.value with Some v -> string_of_int v | None -> "-");
   Printf.printf "  a.e. agreement=%.1f%% (tournament), rounds ae=%d a2e=%d\n"
-    (100.0 *. r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement)
-    r.Ks_core.Everywhere.ae_rounds r.Ks_core.Everywhere.a2e_rounds;
+    (100.0 *. r.ae.agreement) r.ae_rounds r.a2e_rounds;
   Printf.printf "  max bits/proc: tournament=%d amplify=%d total=%d\n"
-    r.Ks_core.Everywhere.max_sent_bits_ae r.Ks_core.Everywhere.max_sent_bits_a2e
-    r.Ks_core.Everywhere.max_sent_bits_total;
-  Printf.printf
-    "  degraded=%b decode_failures=%d retries_used=%d shortfalls=%d quarantined=%d\n"
-    r.Ks_core.Everywhere.degraded r.Ks_core.Everywhere.decode_failures
-    r.Ks_core.Everywhere.retries_used
-    r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.quorum_shortfalls
-    (Ks_core.Comm.quarantine_events r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.comm);
-  if not r.Ks_core.Everywhere.success then begin
-    Printf.printf "  FAILED: no everywhere agreement\n";
-    `Ok exit_failed
-  end
-  else if r.Ks_core.Everywhere.degraded then `Ok exit_degraded
-  else `Ok exit_agreed
+    r.max_sent_bits_ae r.max_sent_bits_a2e o.max_bits;
+  Printf.printf "  degraded=%b " o.degraded;
+  print_counters o;
+  if o.agreed then None else Some "no everywhere agreement"
 
-let run_everywhere ~retries ~quarantine ~params ~scenario ~seed ~inputs =
-  let n = params.Params.n in
-  let budget = Attacks.budget_of scenario ~params in
-  let tree = Ks_topology.Tree.build (Prng.create seed) (Params.tree_config params) in
-  let r =
-    Ks_core.Everywhere.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
-  report_everywhere ~label:scenario.Attacks.label ~budget ~n r
-
-(* Attack runs aim at the protocol's real topology: the tree the attack
-   strategies target is rebuilt from the same seed plumbing
-   [Everywhere.run] uses internally, not the CLI seed directly. *)
-let run_everywhere_attack ~retries ~quarantine ~params ~atk ~fraction ~seed ~inputs =
-  let n = params.Params.n in
-  let budget = Ks_attacks.budget ~params ~fraction in
-  let tree =
-    Ks_attacks.protocol_tree ~params ~ae_seed:(Ks_attacks.ae_seed_of seed)
-  in
-  let r =
-    Ks_core.Everywhere.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:atk.Ks_attacks.behavior
-      ~tree_strategy:(atk.Ks_attacks.tree ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        atk.Ks_attacks.a2e ~params ~carried ~coin)
-      ~budget ()
-  in
-  report_everywhere ~label:("attack:" ^ atk.Ks_attacks.name) ~budget ~n r
-
-let run_ae ~retries ~quarantine ~params ~scenario ~seed ~inputs =
-  let tree = Ks_topology.Tree.build (Prng.create seed) (Params.tree_config params) in
-  let r =
-    Ks_core.Ae_ba.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~budget:(Attacks.budget_of scenario ~params) ()
-  in
+(* Theorem 2's bar: the tournament fails when its majority value is no
+   good input or fewer than 1 - 1/lg n of the good processors hold it. *)
+let report_ae ~n (o : Ks_core.Ae_ba.result Run.outcome) =
   Printf.printf "almost-everywhere BA: agreement=%.1f%% majority=%b valid=%b\n"
-    (100.0 *. r.Ks_core.Ae_ba.agreement)
-    r.Ks_core.Ae_ba.majority r.Ks_core.Ae_ba.valid;
+    (100.0 *. o.detail.agreement) o.detail.majority o.valid;
   List.iter
     (fun (e : Ks_core.Ae_ba.election_stats) ->
       Printf.printf "  election l%d/n%d: %d cands -> %d winners (good %.0f%%)\n"
         e.level e.node (Array.length e.candidates) (Array.length e.winners)
         (100.0 *. e.good_winner_fraction))
-    r.Ks_core.Ae_ba.elections;
-  let decode_failures = Ks_core.Comm.decode_failures r.Ks_core.Ae_ba.comm in
-  let retries_used = Ks_core.Comm.retries_used r.Ks_core.Ae_ba.comm in
-  Printf.printf "  decode_failures=%d retries_used=%d shortfalls=%d quarantined=%d\n"
-    decode_failures retries_used r.Ks_core.Ae_ba.quorum_shortfalls
-    (Ks_core.Comm.quarantine_events r.Ks_core.Ae_ba.comm);
-  if decode_failures > 0 || retries_used > 0 then `Ok exit_degraded
-  else `Ok exit_agreed
+    o.detail.elections;
+  Printf.printf "  ";
+  print_counters o;
+  if o.agreed && o.valid then None
+  else
+    Some
+      (Printf.sprintf "no almost-everywhere agreement (target %.1f%%, valid value)"
+         (100.0 *. Run.ae_target ~n))
 
-let run_ae_attack ~retries ~quarantine ~params ~atk ~fraction ~seed ~inputs =
-  (* Standalone [Ae_ba.run] builds its tree from its own seed (no
-     tournament-seed derivation step), so mirror that here. *)
-  let tree =
-    Ks_topology.Tree.build
-      (Prng.split (Prng.create seed))
-      (Params.tree_config params)
-  in
-  let r =
-    Ks_core.Ae_ba.run ~retries ~quarantine ~params ~seed ~inputs
-      ~behavior:atk.Ks_attacks.behavior
-      ~strategy:(atk.Ks_attacks.tree ~params ~tree)
-      ~budget:(Ks_attacks.budget ~params ~fraction) ()
-  in
-  Printf.printf "almost-everywhere BA: agreement=%.1f%% majority=%b valid=%b\n"
-    (100.0 *. r.Ks_core.Ae_ba.agreement)
-    r.Ks_core.Ae_ba.majority r.Ks_core.Ae_ba.valid;
-  Printf.printf "  decode_failures=%d retries_used=%d shortfalls=%d quarantined=%d\n"
-    (Ks_core.Comm.decode_failures r.Ks_core.Ae_ba.comm)
-    (Ks_core.Comm.retries_used r.Ks_core.Ae_ba.comm)
-    r.Ks_core.Ae_ba.quorum_shortfalls
-    (Ks_core.Comm.quarantine_events r.Ks_core.Ae_ba.comm);
-  if not (r.Ks_core.Ae_ba.majority && r.Ks_core.Ae_ba.valid) then begin
-    Printf.printf "  FAILED: no almost-everywhere majority\n";
-    `Ok exit_failed
-  end
-  else if
-    Ks_core.Comm.decode_failures r.Ks_core.Ae_ba.comm > 0
-    || Ks_core.Comm.retries_used r.Ks_core.Ae_ba.comm > 0
-  then `Ok exit_degraded
-  else `Ok exit_agreed
-
-let run_rabin_attack ~params ~atk ~fraction ~seed ~inputs =
-  let n = params.Params.n in
-  let budget = Ks_attacks.budget ~params ~fraction in
-  let lg = Ks_stdx.Intmath.ceil_log2 n in
-  let o =
-    Ks_baselines.Rabin.run ~seed ~n ~budget ~rounds:((2 * lg) + 6)
-      ~epsilon:params.Params.epsilon ~inputs
-      ~strategy:(atk.Ks_attacks.vote ~params)
-  in
+let report_baseline (o : _ Run.outcome) =
   Printf.printf "baseline: agreement=%b validity=%b rounds=%d max bits/proc=%d\n"
-    o.Ks_baselines.Outcome.agreement o.Ks_baselines.Outcome.validity
-    o.Ks_baselines.Outcome.rounds o.Ks_baselines.Outcome.max_sent_bits;
-  if o.Ks_baselines.Outcome.agreement then `Ok exit_agreed
-  else begin
-    Printf.printf "  FAILED: disagreement\n";
-    `Ok exit_failed
-  end
+    o.agreed o.valid o.rounds o.max_bits;
+  if o.agreed then None else Some "disagreement"
 
-let run_baseline name ~params ~scenario ~seed ~inputs =
+let report_async ~n ~budget (o : Ks_async.Async_ba.outcome Run.outcome) =
+  Printf.printf
+    "async BA (MMR'14, coin oracle): n=%d f=%d\n\
+    \  agreement=%b validity=%b rounds=%d deliveries=%d max bits/proc=%d\n"
+    n (Run.async_faults ~n ~budget) o.agreed o.valid o.rounds o.detail.events
+    o.max_bits;
+  if o.agreed then None else Some "disagreement"
+
+(* One dispatch for every protocol: run through the shared runner, print
+   the family's report, and turn it into the exit code. *)
+let run_protocol (type r) (p : r Run.protocol) ~retries ~quarantine ~params
+    ~adversary ~budget ~seed ~inputs =
   let n = params.Params.n in
-  let budget = Attacks.budget_of scenario ~params in
-  let lg = Ks_stdx.Intmath.ceil_log2 n in
-  let o =
-    match name with
-    | `Rabin ->
-      Ks_baselines.Rabin.run ~seed ~n ~budget ~rounds:((2 * lg) + 6)
-        ~epsilon:params.Params.epsilon ~inputs
-        ~strategy:(Attacks.vote_flipper scenario ~params)
-    | `Phase_king ->
-      let faults = Stdlib.min budget (Stdlib.max 1 ((n / 4) - 1)) in
-      Ks_baselines.Phase_king.run ~seed ~n ~budget:faults ~faults ~inputs
-        ~strategy:(Attacks.generic_strategy scenario ~params)
-    | `Ben_or ->
-      Ks_baselines.Ben_or.run ~seed ~n ~budget:(Stdlib.min budget (n / 6))
-        ~max_phases:(4 * lg) ~inputs
-        ~strategy:(Attacks.generic_strategy scenario ~params)
+  let o = Run.run ~retries ~quarantine p ~params ~seed ~inputs ~adversary ~budget in
+  let failure =
+    match p with
+    | Run.Everywhere ->
+      let name = adversary.Ks_attacks.name in
+      let label = if Option.is_some adversary.preset then name else "attack:" ^ name in
+      report_everywhere ~label ~budget ~n o
+    | Run.Ae -> report_ae ~n o
+    | Run.Async -> report_async ~n ~budget o
+    | Run.Rabin | Run.Phase_king | Run.Ben_or -> report_baseline o
   in
-  Printf.printf "baseline: agreement=%b validity=%b rounds=%d max bits/proc=%d\n"
-    o.Ks_baselines.Outcome.agreement o.Ks_baselines.Outcome.validity
-    o.Ks_baselines.Outcome.rounds o.Ks_baselines.Outcome.max_sent_bits;
-  if o.Ks_baselines.Outcome.agreement then `Ok exit_agreed
-  else begin
-    Printf.printf "  FAILED: disagreement\n";
+  match failure with
+  | Some why ->
+    Printf.printf "  FAILED: %s\n" why;
     `Ok exit_failed
-  end
+  | None -> `Ok (if o.degraded then exit_degraded else exit_agreed)
 
 let setup_logging verbose =
   if verbose then begin
@@ -214,44 +115,18 @@ let setup_logging verbose =
     Logs.set_level (Some Logs.Debug)
   end
 
-let run_async ~n ~scenario ~seed ~inputs =
-  let f = Stdlib.min ((n - 2) / 3) (Stdlib.max 0 (n / 4)) in
-  let byz =
-    match scenario.Attacks.behavior with
-    | Ks_core.Comm.Silent -> Ks_async.Async_ba.Silent
-    | Ks_core.Comm.Follow | Ks_core.Comm.Garbage | Ks_core.Comm.Flip
-    | Ks_core.Comm.Equivocate ->
-      Ks_async.Async_ba.Equivocate
-  in
-  let f = if scenario.Attacks.label = "honest" then 0 else f in
-  let o =
-    Ks_async.Async_ba.run ~seed ~n ~f ~inputs ~byz
-      ~scheduler:Ks_async.Async_net.Fair ~max_events:8_000_000 ()
-  in
-  Printf.printf
-    "async BA (MMR'14, coin oracle): n=%d f=%d\n\
-    \  agreement=%b validity=%b rounds=%d deliveries=%d max bits/proc=%d\n"
-    n f o.Ks_async.Async_ba.agreement o.Ks_async.Async_ba.validity
-    o.Ks_async.Async_ba.max_rounds o.Ks_async.Async_ba.events
-    o.Ks_async.Async_ba.max_sent_bits;
-  if o.Ks_async.Async_ba.agreement then `Ok exit_agreed
-  else begin
-    Printf.printf "  FAILED: disagreement\n";
-    `Ok exit_failed
-  end
-
 (* Every run executes under the invariant monitors: the accounting set of
    [Experiments.standard_monitors] plus agreement/validity over the actual
    decisions.  [--trace FILE] additionally streams the JSONL event trace. *)
-let monitored ?(envelopes = true) ~trace_file ~inputs f =
+let monitored ~envelopes ~trace_file ~inputs f =
   match
     try Ok (Option.map Ks_monitor.Trace.file trace_file)
     with Sys_error e -> Error (`Error (false, Printf.sprintf "--trace: %s" e))
   with
   | Error e -> e
   | Ok trace ->
-  (* Attack runs flood crafted traffic and may corrupt past 1/3 on
-     purpose, so the bit/round envelopes do not apply to them; the
+  (* Attacks flood crafted traffic and may corrupt past 1/3 on purpose,
+     so the bit/round envelopes apply only to the in-model presets; the
      budget, agreement and validity invariants always do. *)
   let monitors =
     (if envelopes then Ks_workload.Experiments.standard_monitors ()
@@ -273,88 +148,53 @@ let monitored ?(envelopes = true) ~trace_file ~inputs f =
 let run_cmd verbose protocol n adversary attack fraction no_quarantine seed inputs
     trace_file faults retries_opt =
   setup_logging verbose;
-  match scenario_of_name adversary with
-  | Error e -> `Error (false, e)
-  | Ok scenario -> (
-    match
-      match attack with
-      | None -> Ok None
-      | Some name -> Result.map Option.some (attack_of_name name)
-    with
-    | Error e -> `Error (false, e)
-    | Ok (Some _) when fraction < 0. || fraction > 1. ->
-      `Error (false, Printf.sprintf "--corrupt %g is not a fraction in [0,1]" fraction)
-    | Ok atk -> (
-      match
-        match faults with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Ks_faults.Plan.of_string_or_preset s)
-      with
-      | Error e -> `Error (false, e)
-      | Ok plan ->
-        let params = Params.practical n in
-        let rng = Prng.create (Int64.of_int seed) in
-        (match inputs_of_name rng ~n inputs with
-         | Error e -> `Error (false, e)
-         | Ok input_bits ->
-           let seed = Int64.of_int seed in
-           let quarantine = not no_quarantine in
-           (* Bounded retry defaults on exactly when faults are injected:
-              plain runs stay bit-identical to the pre-fault-layer code. *)
-           let retries =
-             match retries_opt with
-             | Some r -> Stdlib.max 0 r
-             | None -> ( match plan with Some _ -> 2 | None -> 0)
-           in
-           let go () =
-             match atk with
-             | Some atk ->
-               monitored ~envelopes:false ~trace_file ~inputs:input_bits (fun () ->
-                   match protocol with
-                   | "everywhere" ->
-                     run_everywhere_attack ~retries ~quarantine ~params ~atk
-                       ~fraction ~seed ~inputs:input_bits
-                   | "ae" ->
-                     run_ae_attack ~retries ~quarantine ~params ~atk ~fraction
-                       ~seed ~inputs:input_bits
-                   | "rabin" ->
-                     run_rabin_attack ~params ~atk ~fraction ~seed
-                       ~inputs:input_bits
-                   | other ->
-                     `Error
-                       ( false,
-                         Printf.sprintf
-                           "--attack supports everywhere, ae and rabin (got %S)"
-                           other ))
-             | None ->
-               monitored ~trace_file ~inputs:input_bits (fun () ->
-                   match protocol with
-                   | "everywhere" ->
-                     run_everywhere ~retries ~quarantine ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "ae" ->
-                     run_ae ~retries ~quarantine ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "rabin" ->
-                     run_baseline `Rabin ~params ~scenario ~seed ~inputs:input_bits
-                   | "phase-king" ->
-                     run_baseline `Phase_king ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "ben-or" ->
-                     run_baseline `Ben_or ~params ~scenario ~seed
-                       ~inputs:input_bits
-                   | "async" -> run_async ~n ~scenario ~seed ~inputs:input_bits
-                   | other ->
-                     `Error
-                       ( false,
-                         Printf.sprintf
-                           "unknown protocol %S \
-                            (everywhere|ae|rabin|phase-king|ben-or|async)"
-                           other ))
-           in
-           (match plan with
-            | Some p -> Ks_faults.Plan.with_plan p go
-            | None -> go ()))))
+  let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
+  let names show xs = String.concat ", " (List.map show xs) in
+  let name = Option.value attack ~default:adversary in
+  let* adversary =
+    Option.to_result (Attacks.find name)
+      ~none:
+        (Printf.sprintf "unknown adversary %S (one of: %s; see --list-attacks)" name
+           (names (fun a -> a.Ks_attacks.name) Attacks.registry))
+  in
+  let* (Run.Any p) =
+    Option.to_result
+      (List.assoc_opt protocol Run.protocols)
+      ~none:
+        (Printf.sprintf "unknown protocol %S (one of: %s)" protocol
+           (names fst Run.protocols))
+  in
+  let* () =
+    if not (Run.supports adversary p) then
+      Error (Printf.sprintf "%s supports everywhere, ae and rabin (got %S)" name protocol)
+    else if Option.is_none adversary.preset && (fraction < 0. || fraction > 1.) then
+      Error (Printf.sprintf "--corrupt %g is not a fraction in [0,1]" fraction)
+    else Ok ()
+  in
+  let* plan =
+    match faults with
+    | None -> Ok None
+    | Some s -> Result.map Option.some (Ks_faults.Plan.of_string_or_preset s)
+  in
+  let params = Params.practical n in
+  let rng = Prng.create (Int64.of_int seed) in
+  let* inputs = inputs_of_name rng ~n inputs in
+  let seed = Int64.of_int seed in
+  let quarantine = not no_quarantine in
+  (* Bounded retry defaults on exactly when faults are injected: plain
+     runs stay bit-identical to the pre-fault-layer code. *)
+  let retries =
+    match retries_opt with
+    | Some r -> Stdlib.max 0 r
+    | None -> ( match plan with Some _ -> 2 | None -> 0)
+  in
+  let budget = Ks_attacks.budget_for adversary ~params ~fraction in
+  let go () =
+    monitored ~envelopes:(Option.is_some adversary.preset) ~trace_file ~inputs
+      (fun () ->
+        run_protocol p ~retries ~quarantine ~params ~adversary ~budget ~seed ~inputs)
+  in
+  match plan with Some p -> Ks_faults.Plan.with_plan p go | None -> go ()
 
 let inspect_cmd n theoretical =
   let params = if theoretical then Params.theoretical n else Params.practical n in
@@ -391,7 +231,11 @@ let adversary_arg =
     value
     & opt string "byz-static"
     & info [ "a"; "adversary" ] ~docv:"ADV"
-        ~doc:"Adversary: honest, crash, byz-static, byz-adaptive, eclipse or flood.")
+        ~doc:
+          "Adversary from the registry: a scenario preset (honest, crash, \
+           byz-static, byz-adaptive, eclipse, flood) or any attack of \
+           $(b,ba_sim --list-attacks).  Presets choose their own corruption \
+           count and drive every protocol.")
 
 let attack_arg =
   Arg.(
@@ -399,9 +243,10 @@ let attack_arg =
     & opt (some string) None
     & info [ "attack" ] ~docv:"NAME"
         ~doc:
-          "Run under an active attack from the attack library (docs/ATTACKS.md); \
-           overrides $(b,--adversary).  Supported protocols: everywhere, ae, \
-           rabin.  See $(b,ba_sim --list-attacks).")
+          "Alias of $(b,--adversary) that wins over it when both are given; \
+           names the same registry.  Attacks (docs/ATTACKS.md, $(b,ba_sim \
+           --list-attacks)) corrupt the $(b,--corrupt) fraction and drive \
+           everywhere, ae and rabin.")
 
 let corrupt_arg =
   Arg.(
@@ -409,8 +254,9 @@ let corrupt_arg =
     & opt float 0.25
     & info [ "corrupt" ] ~docv:"FRAC"
         ~doc:
-          "Corrupted fraction of processors for $(b,--attack) runs.  May \
-           deliberately exceed 1/3; capped at n-1 processors.")
+          "Corrupted fraction of processors for attack-library adversaries \
+           (presets ignore it).  May deliberately exceed 1/3; capped at n-1 \
+           processors.")
 
 let no_quarantine_arg =
   Arg.(

@@ -65,11 +65,11 @@ let () =
   Printf.printf "\n== One full tournament run (Figure 1, right) ==\n";
   let scenario = Attacks.byzantine_static in
   let inputs = Array.init n (fun i -> i mod 2 = 0) in
-  let r =
-    Ae_ba.run ~params ~seed:11L ~inputs ~behavior:scenario.Attacks.behavior
-      ~strategy:(Attacks.tree_strategy scenario ~params ~tree:(Tree.build (Prng.create 7L) (Params.tree_config params)))
-      ~budget:(Attacks.budget_of scenario ~params) ()
+  let run =
+    Ks_workload.Run.run Ks_workload.Run.Ae ~params ~seed:11L ~inputs
+      ~adversary:(Attacks.adversary scenario) ~budget:(Attacks.budget_of scenario ~params)
   in
+  let r = run.Ks_workload.Run.detail in
   Printf.printf
     "phases per election: expose bin choices (sendDown + sendOpen), agree\n\
      on bin choices (coin exposure + sparse voting, one candidate's block\n\

@@ -4,12 +4,14 @@
      dune exec examples/quickstart.exe
 
    This is the smallest end-to-end use of the public API: pick a
-   parameter profile, choose an adversary scenario, run Algorithm 4, and
-   read out agreement, validity and communication cost. *)
+   parameter profile, choose an adversary from the registry, run
+   Algorithm 4 through the shared runner, and read out agreement,
+   validity and communication cost. *)
 
 module Params = Ks_core.Params
 module Everywhere = Ks_core.Everywhere
 module Attacks = Ks_workload.Attacks
+module Run = Ks_workload.Run
 module Inputs = Ks_workload.Inputs
 module Prng = Ks_stdx.Prng
 
@@ -32,16 +34,11 @@ let () =
 
   (* 3. Run the full protocol: the almost-everywhere tournament followed
      by the everywhere amplification. *)
-  let tree =
-    Ks_topology.Tree.build (Prng.create (Int64.add seed 1L)) (Params.tree_config params)
+  let outcome =
+    Run.run Run.Everywhere ~params ~seed ~inputs
+      ~adversary:(Attacks.adversary scenario) ~budget
   in
-  let result =
-    Everywhere.run ~params ~seed ~inputs ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
+  let result = outcome.Run.detail in
 
   (* 4. Inspect the outcome. *)
   Printf.printf "\n--- outcome ---\n";

@@ -20,6 +20,7 @@
 
 module Prng = Ks_stdx.Prng
 module Attacks = Ks_workload.Attacks
+module Run = Ks_workload.Run
 module Params = Ks_core.Params
 
 let n = 64
@@ -27,43 +28,20 @@ let slots = 8
 
 type slot_result = { decided_commit : bool; max_bits : int; rounds : int }
 
-(* One agreement slot via the quadratic baseline. *)
-let rabin_slot ~seed ~inputs =
-  let o =
-    Ks_baselines.Rabin.run ~seed ~n ~budget:(n / 4) ~rounds:14 ~epsilon:0.08 ~inputs
-      ~strategy:Ks_sim.Adversary.crash_random
-  in
-  let decided =
-    match o.Ks_baselines.Outcome.decided.(0) with Some v -> v | None -> false
-  in
-  {
-    decided_commit = decided;
-    max_bits = o.Ks_baselines.Outcome.max_sent_bits;
-    rounds = o.Ks_baselines.Outcome.rounds;
-  }
-
-(* One agreement slot via the paper's protocol. *)
-let king_saia_slot ~seed ~inputs =
+(* One agreement slot under the crash preset (a quarter of the replicas
+   faulty), through the shared runner. *)
+let slot p ~seed ~inputs =
   let params = Params.practical n in
   let scenario = Attacks.crash in
-  let budget = Attacks.budget_of scenario ~params in
-  let tree =
-    Ks_topology.Tree.build (Prng.create seed) (Params.tree_config params)
+  let o =
+    Run.run p ~params ~seed ~inputs ~adversary:(Attacks.adversary scenario)
+      ~budget:(Attacks.budget_of scenario ~params)
   in
-  let r =
-    Ks_core.Everywhere.run ~params ~seed ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
-  {
-    decided_commit =
-      (match r.Ks_core.Everywhere.agreed_value with Some 1 -> true | _ -> false);
-    max_bits = r.Ks_core.Everywhere.max_sent_bits_total;
-    rounds = r.Ks_core.Everywhere.ae_rounds + r.Ks_core.Everywhere.a2e_rounds;
-  }
+  { decided_commit = o.Run.value = Some 1; max_bits = o.Run.max_bits; rounds = o.Run.rounds }
+
+(* Via the quadratic baseline, and via the paper's protocol. *)
+let rabin_slot = slot Run.Rabin
+let king_saia_slot = slot Run.Everywhere
 
 let () =
   let rng = Prng.create 404L in

@@ -16,9 +16,11 @@ type outcome = {
   decided : bool option array;
   agreement : bool;
   validity : bool;
+  value : bool option;
   events : int;
   max_rounds : int;
   max_sent_bits : int;
+  total_sent_bits : int;
 }
 
 type byz = Silent | Equivocate
@@ -233,6 +235,8 @@ let run ~seed ~n ~f ~inputs ~byz ~scheduler ~max_events () =
       !ok
     | [] -> false
   in
+  let meter = Async_net.meter net in
+  let goods = List.filter good (List.init n (fun i -> i)) in
   let max_rounds =
     Array.fold_left
       (fun acc (st : pstate) -> Stdlib.max acc st.round)
@@ -246,9 +250,10 @@ let run ~seed ~n ~f ~inputs ~byz ~scheduler ~max_events () =
     decided;
     agreement;
     validity;
+    value = (match good_values with v :: _ when agreement -> Some v | _ -> None);
     events = !events;
     max_rounds;
-    max_sent_bits =
-      Ks_sim.Meter.max_sent_bits (Async_net.meter net)
-        ~over:(List.filter good (List.init n (fun i -> i)));
+    max_sent_bits = Ks_sim.Meter.max_sent_bits meter ~over:goods;
+    total_sent_bits =
+      List.fold_left (fun acc p -> acc + Ks_sim.Meter.sent_bits meter p) 0 goods;
   }

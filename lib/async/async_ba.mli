@@ -37,9 +37,11 @@ type outcome = {
   decided : bool option array;  (** per processor *)
   agreement : bool;  (** all good processors decided one value *)
   validity : bool;  (** the value was some good input *)
+  value : bool option;  (** the common decision, when [agreement] *)
   events : int;  (** delivery events consumed *)
   max_rounds : int;  (** highest round any good processor reached *)
   max_sent_bits : int;
+  total_sent_bits : int;  (** bits sent by all good processors *)
 }
 
 (** What corrupted processors do: nothing, or equivocate ([BVAL] for

@@ -30,6 +30,12 @@ type t = {
     coin:(iteration:int -> int -> int option) ->
     A2e.msg strategy;
   vote : params:Params.t -> bool strategy;
+  preset : preset option;
+}
+
+and preset = {
+  budget_of : params:Params.t -> int;
+  generic : 'msg. params:Params.t -> 'msg strategy;
 }
 
 (* The attack budget is the swept corruption fraction, NOT clamped to the
@@ -38,6 +44,11 @@ type t = {
 let budget ~params ~fraction =
   let n = params.Params.n in
   Stdlib.min (n - 1) (int_of_float (fraction *. float_of_int n))
+
+let budget_for t ~params ~fraction =
+  match t.preset with
+  | Some p -> p.budget_of ~params
+  | None -> budget ~params ~fraction
 
 (* The tree the protocol actually builds.  Ae_ba.run derives it from its
    seed ([Prng.split] of the seed's root stream); Everywhere.run derives
@@ -194,6 +205,7 @@ let equivocate =
     tree = equivocate_tree;
     a2e = equivocate_a2e;
     vote = (fun ~params -> split_vote "equivocate" ~params);
+    preset = None;
   }
 
 (* --- bad-share flooding ------------------------------------------------ *)
@@ -222,6 +234,7 @@ let bad_share_inside =
     tree = bad_share_tree ~just_outside:false;
     a2e = passive_a2e "bad-share-inside";
     vote = (fun ~params -> passive_vote "bad-share-inside" ~params);
+    preset = None;
   }
 
 let bad_share_outside =
@@ -234,6 +247,7 @@ let bad_share_outside =
     tree = bad_share_tree ~just_outside:true;
     a2e = passive_a2e "bad-share-outside";
     vote = (fun ~params -> minority_echo_vote "bad-share-outside" ~params);
+    preset = None;
   }
 
 (* --- hunt-committee ---------------------------------------------------- *)
@@ -312,6 +326,7 @@ let hunt_committee =
     tree = hunt_tree;
     a2e = hunt_a2e;
     vote = (fun ~params -> passive_vote "hunt-committee" ~params);
+    preset = None;
   }
 
 (* --- coin-split -------------------------------------------------------- *)
@@ -385,6 +400,7 @@ let coin_split =
     tree = coin_split_tree;
     a2e = passive_a2e "coin-split";
     vote = (fun ~params -> split_vote "coin-split" ~params);
+    preset = None;
   }
 
 (* --- wire-junk --------------------------------------------------------- *)
@@ -494,6 +510,7 @@ let wire_junk =
     tree = wire_junk_tree;
     a2e = wire_junk_a2e;
     vote = (fun ~params -> passive_vote "wire-junk" ~params);
+    preset = None;
   }
 
 (* --- registry ----------------------------------------------------------- *)

@@ -39,15 +39,34 @@ type t = {
           fell during the tournament (already included) *)
   vote : params:Ks_core.Params.t -> bool Ks_sim.Types.strategy;
       (** plain vote nets: Algorithm 5 standalone and the Rabin baseline *)
+  preset : preset option;
+      (** [Some] for the in-model scenario presets; [None] for attacks,
+          which take ⌊fraction·n⌋ corruptions ({!budget}), may cross 1/3,
+          flood past the bit and round envelopes, and drive only
+          everywhere, ae and Rabin. *)
 }
 
+(** A preset's own budget (within (1/3 − ε)·n) and its schedule at any
+    message type with silent corrupted processors (Phase King, Ben-Or). *)
+and preset = {
+  budget_of : params:Ks_core.Params.t -> int;
+  generic : 'msg. params:Ks_core.Params.t -> 'msg Ks_sim.Types.strategy;
+}
+
+(** The six attacks ([ba_sim --list-attacks]); the registry with the
+    presets is [Ks_workload.Attacks.registry]. *)
 val all : t list
+
 val find : string -> t option
 
 (** [budget ~params ~fraction] — ⌊fraction·n⌋ capped at n − 1 but {e not}
     at the model's (1/3 − ε) allowance: breaking-point sweeps walk past
     1/3 on purpose. *)
 val budget : params:Ks_core.Params.t -> fraction:float -> int
+
+(** [budget_for t ~params ~fraction] — the entry's own rule: a preset's
+    [budget_of] (ignoring [fraction]), otherwise {!budget}. *)
+val budget_for : t -> params:Ks_core.Params.t -> fraction:float -> int
 
 (** Mirror of the protocol's seed plumbing: [ae_seed_of seed] is the
     tournament seed {!Ks_core.Everywhere.run} derives from its own, and

@@ -6,6 +6,7 @@ type t = {
   decided : bool option array;  (** per-processor decision *)
   agreement : bool;  (** all good processors decided, on one value *)
   validity : bool;  (** the common value was some good input *)
+  value : bool option;  (** the common value, when [agreement] *)
   rounds : int;
   max_sent_bits : int;  (** max bits sent by a good processor *)
   total_sent_bits : int;  (** bits sent by all good processors *)
@@ -48,6 +49,7 @@ let of_decisions ~net ~inputs decided =
     decided;
     agreement;
     validity;
+    value = (match values with first :: _ when agreement -> first | _ -> None);
     rounds = Ks_sim.Meter.rounds meter;
     max_sent_bits = Ks_sim.Meter.max_sent_bits meter ~over:goods;
     total_sent_bits =

@@ -1,3 +1,5 @@
+let t10_rounds ~n = (2 * Ks_stdx.Intmath.ceil_log2 n) + 6
+
 let run ~seed ~n ~budget ~rounds ~epsilon ~inputs ~strategy =
   (* Rabin all-to-all is the unreliable-coin voting protocol on the
      complete graph with an ideal common coin; the round loop drives the

@@ -12,6 +12,11 @@
 
     Per-processor cost: Θ(n·rounds) bits.  Total: Θ(n²·rounds). *)
 
+(** [t10_rounds ~n] — 2⌈lg n⌉ + 6, the round count every table and the
+    CLI run Rabin for (T10's rule): enough for the coin to settle with
+    high probability, and the O(log n) latency the crossover assumes. *)
+val t10_rounds : n:int -> int
+
 val run :
   seed:int64 ->
   n:int ->

@@ -185,3 +185,24 @@ let vote_flipper t ~params =
       view.view_corrupt
   in
   { base with act }
+
+let adversary t =
+  {
+    Ks_attacks.name = t.label;
+    doc = "scenario preset";
+    behavior = t.behavior;
+    tree = tree_strategy t;
+    a2e = (fun ~params ~carried ~coin -> a2e_strategy t ~params ~coin ~carried);
+    vote = vote_flipper t;
+    preset =
+      Some
+        {
+          Ks_attacks.budget_of = budget_of t;
+          generic = (fun ~params -> generic_strategy t ~params);
+        };
+  }
+
+let registry = List.map adversary all @ Ks_attacks.all
+
+let find name =
+  List.find_opt (fun a -> String.equal a.Ks_attacks.name name) registry

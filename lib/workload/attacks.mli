@@ -67,3 +67,14 @@ val generic_strategy : t -> params:Ks_core.Params.t -> 'msg Ks_sim.Types.strateg
     {e minority} of what they can see, maximally delaying convergence. *)
 val vote_flipper :
   t -> params:Ks_core.Params.t -> bool Ks_sim.Types.strategy
+
+(** [adversary t] — the preset in the registry's one adversary shape,
+    built from the four functions above and {!budget_of}. *)
+val adversary : t -> Ks_attacks.t
+
+(** Every adversary [ba_sim] can run ([--adversary] and [--attack] both
+    look names up here): the six presets of [all], then the six attacks
+    of {!Ks_attacks.all}. *)
+val registry : Ks_attacks.t list
+
+val find : string -> Ks_attacks.t option

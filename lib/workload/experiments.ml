@@ -22,36 +22,30 @@ type scaling_point = {
 
 let mean_of xs = Stats.mean (Array.of_list xs)
 
+(* One seeded table run through the shared runner: seed
+   [seed_of n (seed + offset)], split inputs. *)
+let table_run ?retries ?quarantine p ~params ~offset ~seed ~adversary ~budget =
+  let n = params.Ks_core.Params.n in
+  let seed = seed_of n (seed + offset) in
+  let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
+  Run.run ?retries ?quarantine p ~params ~seed ~inputs ~adversary ~budget
+
+let agreed runs = List.length (List.filter (fun r -> r.Run.agreed) runs)
+let mean_int f runs = mean_of (List.map (fun r -> float_of_int (f r)) runs)
+
 (* One full King–Saia run plus both baselines at a given n/seed, all under
    a 25% static Byzantine adversary. *)
 let scaling_run ~n ~seed =
   let params = Ks_core.Params.practical n in
   let scenario = Attacks.byzantine_static in
+  let run p ~budget =
+    table_run p ~params ~offset:0 ~seed ~adversary:(Attacks.adversary scenario) ~budget
+  in
   let budget = Attacks.budget_of scenario ~params in
-  let rng = Prng.create (seed_of n seed) in
-  let inputs = Inputs.generate rng ~n Inputs.Split in
-  let tree = Ks_topology.Tree.build (Prng.split rng) (Ks_core.Params.tree_config params) in
-  let res =
-    Ks_core.Everywhere.run ~params ~seed:(seed_of n seed) ~inputs
-      ~behavior:scenario.Attacks.behavior
-      ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        Attacks.a2e_strategy scenario ~params ~coin ~carried)
-      ~budget ()
-  in
-  let lg = Intmath.ceil_log2 n in
-  let rabin =
-    Ks_baselines.Rabin.run ~seed:(seed_of n seed) ~n ~budget
-      ~rounds:((2 * lg) + 6) ~epsilon:params.Ks_core.Params.epsilon ~inputs
-      ~strategy:(Attacks.vote_flipper scenario ~params)
-  in
-  let pk_faults = Stdlib.max 1 (n / 5) in
-  let king =
-    Ks_baselines.Phase_king.run ~seed:(seed_of n seed) ~n ~budget:pk_faults
-      ~faults:pk_faults ~inputs
-      ~strategy:(Attacks.generic_strategy scenario ~params)
-  in
-  (res, rabin, king)
+  (* In this order: the trace records the runs as they happen. *)
+  let ks = run Run.Everywhere ~budget in
+  let rabin = run Run.Rabin ~budget in
+  (ks, rabin, run Run.Phase_king ~budget:(Stdlib.max 1 (n / 5)))
 
 let collect_scaling ~ns ~seeds =
   List.map
@@ -60,18 +54,19 @@ let collect_scaling ~ns ~seeds =
       let f sel = mean_of (List.map sel runs) in
       {
         n;
-        ks_ae_bits = f (fun (r, _, _) -> float_of_int r.Ks_core.Everywhere.max_sent_bits_ae);
-        ks_a2e_bits = f (fun (r, _, _) -> float_of_int r.Ks_core.Everywhere.max_sent_bits_a2e);
-        ks_total_bits =
-          f (fun (r, _, _) -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total);
-        ks_rounds =
+        ks_ae_bits =
           f (fun (r, _, _) ->
-              float_of_int (r.Ks_core.Everywhere.ae_rounds + r.Ks_core.Everywhere.a2e_rounds));
-        rabin_bits = f (fun (_, r, _) -> float_of_int r.Ks_baselines.Outcome.max_sent_bits);
-        rabin_rounds = f (fun (_, r, _) -> float_of_int r.Ks_baselines.Outcome.rounds);
-        king_bits = f (fun (_, _, k) -> float_of_int k.Ks_baselines.Outcome.max_sent_bits);
-        king_rounds = f (fun (_, _, k) -> float_of_int k.Ks_baselines.Outcome.rounds);
-        ks_success = List.for_all (fun (r, _, _) -> r.Ks_core.Everywhere.success) runs;
+              float_of_int r.Run.detail.Ks_core.Everywhere.max_sent_bits_ae);
+        ks_a2e_bits =
+          f (fun (r, _, _) ->
+              float_of_int r.Run.detail.Ks_core.Everywhere.max_sent_bits_a2e);
+        ks_total_bits = f (fun (r, _, _) -> float_of_int r.Run.max_bits);
+        ks_rounds = f (fun (r, _, _) -> float_of_int r.Run.rounds);
+        rabin_bits = f (fun (_, r, _) -> float_of_int r.Run.max_bits);
+        rabin_rounds = f (fun (_, r, _) -> float_of_int r.Run.rounds);
+        king_bits = f (fun (_, _, k) -> float_of_int k.Run.max_bits);
+        king_rounds = f (fun (_, _, k) -> float_of_int k.Run.rounds);
+        ks_success = List.for_all (fun (r, _, _) -> r.Run.agreed) runs;
       })
     ns
 
@@ -189,35 +184,28 @@ let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
     List.concat_map
       (fun n ->
         let params = Ks_core.Params.practical n in
-        let target = 1.0 -. (1.0 /. float_of_int (Intmath.ceil_log2 n)) in
+        let target = Run.ae_target ~n in
         List.map
           (fun sc ->
             let runs =
               List.map
                 (fun seed ->
-                  let rng = Prng.create (seed_of n (seed + 77)) in
-                  let inputs = Inputs.generate rng ~n Inputs.Split in
-                  let tree =
-                    Ks_topology.Tree.build (Prng.split rng)
-                      (Ks_core.Params.tree_config params)
-                  in
-                  Ks_core.Ae_ba.run ~params ~seed:(seed_of n (seed + 77)) ~inputs
-                    ~behavior:sc.Attacks.behavior
-                    ~strategy:(Attacks.tree_strategy sc ~params ~tree)
-                    ~budget:(Attacks.budget_of sc ~params) ())
+                  table_run Run.Ae ~params ~offset:77 ~seed
+                    ~adversary:(Attacks.adversary sc)
+                    ~budget:(Attacks.budget_of sc ~params))
                 seeds
             in
-            let agreement = mean_of (List.map (fun r -> r.Ks_core.Ae_ba.agreement) runs) in
-            let valid =
-              List.length (List.filter (fun r -> r.Ks_core.Ae_ba.valid) runs)
+            let agreement =
+              mean_of (List.map (fun r -> r.Run.detail.Ks_core.Ae_ba.agreement) runs)
             in
+            let valid = List.length (List.filter (fun r -> r.Run.valid) runs) in
             let gw =
               mean_of
                 (List.concat_map
                    (fun r ->
                      List.map
                        (fun (e : Ks_core.Ae_ba.election_stats) -> e.good_winner_fraction)
-                       r.Ks_core.Ae_ba.elections)
+                       r.Run.detail.Ks_core.Ae_ba.elections)
                    runs)
             in
             [
@@ -618,37 +606,44 @@ let t8_samplers ?(r = 1024) ?(s = 1024) () =
     rows;
   rows
 
+let ae_agreement r = r.Run.detail.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement
+
+(* T9's and T16's adversary: a static random set of Garbage senders that
+   does nothing in amplification beyond keeping its tournament
+   corruptions; Rabin faces byz-static's vote flipper. *)
+let static_carry_only =
+  {
+    (Attacks.adversary Attacks.byzantine_static) with
+    Ks_attacks.name = "static";
+    doc = "static random Garbage senders, carried into amplification";
+    tree =
+      (fun ~params:_ ~tree:_ ->
+        Ks_sim.Adversary.make ~name:"static"
+          ~initial_corruptions:Ks_sim.Adversary.uniform_random_set ());
+    a2e =
+      (fun ~params:_ ~carried ~coin:_ ->
+        Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried);
+    preset = None;
+  }
+
 let t9_threshold ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
   let params = Ks_core.Params.practical n in
   let rows =
     List.map
       (fun f ->
-        let budget = Stdlib.min (n - 1) (int_of_float (f *. float_of_int n)) in
+        let budget = Ks_attacks.budget ~params ~fraction:f in
         let runs =
           List.map
             (fun seed ->
-              let rng = Prng.create (seed_of n (seed + 999)) in
-              let inputs = Inputs.generate rng ~n Inputs.Split in
-              let sc = Attacks.byzantine_static in
-              let strategy =
-                Ks_sim.Adversary.make ~name:"static"
-                  ~initial_corruptions:(fun rng ~n ~budget:b ->
-                    Ks_sim.Adversary.uniform_random_set rng ~n
-                      ~budget:(Stdlib.min budget b))
-                  ()
-              in
-              Ks_core.Everywhere.run ~params ~seed:(seed_of n (seed + 999)) ~inputs
-                ~behavior:sc.Attacks.behavior ~tree_strategy:strategy
-                ~a2e_strategy:(fun ~carried ~coin:_ ->
-                  Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried)
-                ~budget ())
+              table_run Run.Everywhere ~params ~offset:999 ~seed
+                ~adversary:static_carry_only ~budget)
             seeds
         in
-        let succ = List.length (List.filter (fun r -> r.Ks_core.Everywhere.success) runs) in
-        let safe = List.length (List.filter (fun r -> r.Ks_core.Everywhere.safe) runs) in
-        let agreement =
-          mean_of (List.map (fun r -> r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement) runs)
+        let succ = agreed runs in
+        let safe =
+          List.length (List.filter (fun r -> r.Run.detail.Ks_core.Everywhere.safe) runs)
         in
+        let agreement = mean_of (List.map ae_agreement runs) in
         [
           Table.fpct f;
           Printf.sprintf "%d/%d" succ (List.length seeds);
@@ -698,28 +693,13 @@ let t11_ablation ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
         let runs =
           List.map
             (fun seed ->
-              let rng = Prng.create (seed_of n (seed + 1300)) in
-              let inputs = Inputs.generate rng ~n Inputs.Split in
-              let tree =
-                Ks_topology.Tree.build (Prng.split rng)
-                  (Ks_core.Params.tree_config params)
-              in
-              Ks_core.Everywhere.run ~params ~seed:(seed_of n (seed + 1300)) ~inputs
-                ~behavior:scenario.Attacks.behavior
-                ~tree_strategy:(Attacks.tree_strategy scenario ~params ~tree)
-                ~a2e_strategy:(fun ~carried ~coin ->
-                  Attacks.a2e_strategy scenario ~params ~coin ~carried)
-                ~budget ())
+              table_run Run.Everywhere ~params ~offset:1300 ~seed
+                ~adversary:(Attacks.adversary scenario) ~budget)
             seeds
         in
-        let succ = List.length (List.filter (fun r -> r.Ks_core.Everywhere.success) runs) in
-        let agreement =
-          mean_of (List.map (fun r -> r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement) runs)
-        in
-        let bits =
-          mean_of
-            (List.map (fun r -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total) runs)
-        in
+        let succ = agreed runs in
+        let agreement = mean_of (List.map ae_agreement runs) in
+        let bits = mean_int (fun r -> r.Run.max_bits) runs in
         [
           label;
           Printf.sprintf "%d/%d" succ (List.length runs);
@@ -932,33 +912,12 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
     ]
   in
   let fractions = [ 0.20; 0.30; 0.36 ] in
-  let everywhere_run plan ~budget ~seed =
+  let run ?retries p ~offset plan ~budget ~seed =
     Ks_faults.Plan.with_plan plan (fun () ->
-        let rng = Prng.create (seed_of n (seed + 5200)) in
-        let inputs = Inputs.generate rng ~n Inputs.Split in
-        let sc = Attacks.byzantine_static in
-        let strategy =
-          Ks_sim.Adversary.make ~name:"static"
-            ~initial_corruptions:(fun rng ~n ~budget:b ->
-              Ks_sim.Adversary.uniform_random_set rng ~n
-                ~budget:(Stdlib.min budget b))
-            ()
-        in
-        Ks_core.Everywhere.run ~retries:2 ~params ~seed:(seed_of n (seed + 5200))
-          ~inputs ~behavior:sc.Attacks.behavior ~tree_strategy:strategy
-          ~a2e_strategy:(fun ~carried ~coin:_ ->
-            Ks_core.Everywhere.carry_corruptions Ks_sim.Adversary.none ~carried)
-          ~budget ())
+        table_run ?retries p ~params ~offset ~seed ~adversary:static_carry_only ~budget)
   in
-  let rabin_run plan ~budget ~seed =
-    Ks_faults.Plan.with_plan plan (fun () ->
-        let rng = Prng.create (seed_of n (seed + 5300)) in
-        let inputs = Inputs.generate rng ~n Inputs.Split in
-        let lg = Intmath.ceil_log2 n in
-        Ks_baselines.Rabin.run ~seed:(seed_of n (seed + 5300)) ~n ~budget
-          ~rounds:((2 * lg) + 6) ~epsilon:params.Ks_core.Params.epsilon ~inputs
-          ~strategy:(Attacks.vote_flipper Attacks.byzantine_static ~params))
-  in
+  let everywhere_run = run ~retries:2 Run.Everywhere ~offset:5200 in
+  let rabin_run = run Run.Rabin ~offset:5300 in
   (* Every (plan, fraction) cell once; the fault-free row doubles as the
      bits reference for the overhead column. *)
   let cells =
@@ -967,9 +926,7 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
         ( label,
           List.map
             (fun f ->
-              let budget =
-                Stdlib.min (n - 1) (int_of_float (f *. float_of_int n))
-              in
+              let budget = Ks_attacks.budget ~params ~fraction:f in
               let runs =
                 List.map (fun seed -> everywhere_run plan ~budget ~seed) seeds
               in
@@ -980,10 +937,7 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
             fractions ))
       plans
   in
-  let mean_bits runs =
-    mean_of
-      (List.map (fun r -> float_of_int r.Ks_core.Everywhere.max_sent_bits_total) runs)
-  in
+  let mean_bits = mean_int (fun r -> r.Run.max_bits) in
   let base_bits f =
     match cells with
     | (_, fcells) :: _ ->
@@ -997,35 +951,16 @@ let t16_faults ?(n = 32) ?(seeds = [ 1; 2 ]) () =
         List.map
           (fun (f, runs, rabins) ->
             let total = List.length runs in
-            let succ =
-              List.length (List.filter (fun r -> r.Ks_core.Everywhere.success) runs)
-            in
-            let degraded =
-              List.length (List.filter (fun r -> r.Ks_core.Everywhere.degraded) runs)
-            in
-            let retries =
-              mean_of
-                (List.map (fun r -> float_of_int r.Ks_core.Everywhere.retries_used) runs)
-            in
-            let fails =
-              mean_of
-                (List.map
-                   (fun r -> float_of_int r.Ks_core.Everywhere.decode_failures)
-                   runs)
-            in
-            let rabin_agree =
-              List.length
-                (List.filter (fun o -> o.Ks_baselines.Outcome.agreement) rabins)
-            in
+            let degraded = List.length (List.filter (fun r -> r.Run.degraded) runs) in
             [
               label;
               Table.fpct f;
-              Printf.sprintf "%d/%d" succ total;
+              Printf.sprintf "%d/%d" (agreed runs) total;
               Printf.sprintf "%d/%d" degraded total;
-              Table.ffloat ~decimals:1 retries;
-              Table.ffloat ~decimals:1 fails;
+              Table.ffloat ~decimals:1 (mean_int (fun r -> r.Run.retries) runs);
+              Table.ffloat ~decimals:1 (mean_int (fun r -> r.Run.decode_failures) runs);
               Printf.sprintf "%.2fx" (mean_bits runs /. base_bits f);
-              Printf.sprintf "%d/%d" rabin_agree total;
+              Printf.sprintf "%d/%d" (agreed rabins) total;
             ])
           fcells)
       cells
@@ -1058,31 +993,14 @@ let t17_attacks ?(n = 32) ?(seeds = [ 1; 2 ]) () =
   (* 0.20 and 0.25 sit below the 1/3 threshold (budgets 6 and 8 of 32);
      0.36 rounds to 11/32 = 34.4%, deliberately past it. *)
   let fractions = [ 0.20; 0.25; 0.36 ] in
-  let everywhere_run atk ~quarantine ~fraction ~seed =
-    let seed64 = seed_of n (seed + 6200) in
-    let rng = Prng.create seed64 in
-    let inputs = Inputs.generate rng ~n Inputs.Split in
-    let budget = Ks_attacks.budget ~params ~fraction in
-    let tree =
-      Ks_attacks.protocol_tree ~params ~ae_seed:(Ks_attacks.ae_seed_of seed64)
-    in
-    Ks_core.Everywhere.run ~retries:2 ~quarantine ~params ~seed:seed64 ~inputs
-      ~behavior:atk.Ks_attacks.behavior
-      ~tree_strategy:(atk.Ks_attacks.tree ~params ~tree)
-      ~a2e_strategy:(fun ~carried ~coin ->
-        atk.Ks_attacks.a2e ~params ~carried ~coin)
-      ~budget ()
+  let run ?retries ?quarantine p ~offset atk ~fraction ~seed =
+    table_run ?retries ?quarantine p ~params ~offset ~seed ~adversary:atk
+      ~budget:(Ks_attacks.budget ~params ~fraction)
   in
-  let rabin_run atk ~fraction ~seed =
-    let seed64 = seed_of n (seed + 6300) in
-    let rng = Prng.create seed64 in
-    let inputs = Inputs.generate rng ~n Inputs.Split in
-    let budget = Ks_attacks.budget ~params ~fraction in
-    let lg = Intmath.ceil_log2 n in
-    Ks_baselines.Rabin.run ~seed:seed64 ~n ~budget ~rounds:((2 * lg) + 6)
-      ~epsilon:params.Ks_core.Params.epsilon ~inputs
-      ~strategy:(atk.Ks_attacks.vote ~params)
+  let everywhere_run atk ~quarantine =
+    run ~retries:2 ~quarantine Run.Everywhere ~offset:6200 atk
   in
+  let rabin_run = run Run.Rabin ~offset:6300 in
   let rows =
     List.concat_map
       (fun atk ->
@@ -1091,10 +1009,7 @@ let t17_attacks ?(n = 32) ?(seeds = [ 1; 2 ]) () =
             let rabins =
               List.map (fun seed -> rabin_run atk ~fraction:f ~seed) seeds
             in
-            let rabin_agree =
-              List.length
-                (List.filter (fun o -> o.Ks_baselines.Outcome.agreement) rabins)
-            in
+            let rabin_agree = agreed rabins in
             List.map
               (fun quarantine ->
                 let runs =
@@ -1103,45 +1018,15 @@ let t17_attacks ?(n = 32) ?(seeds = [ 1; 2 ]) () =
                     seeds
                 in
                 let total = List.length runs in
-                let succ =
-                  List.length
-                    (List.filter
-                       (fun r -> r.Ks_core.Everywhere.success)
-                       runs)
-                in
-                let bits =
-                  mean_of
-                    (List.map
-                       (fun r ->
-                         float_of_int r.Ks_core.Everywhere.max_sent_bits_total)
-                       runs)
-                in
-                let rounds =
-                  mean_of
-                    (List.map
-                       (fun r ->
-                         float_of_int
-                           (r.Ks_core.Everywhere.ae_rounds
-                           + r.Ks_core.Everywhere.a2e_rounds))
-                       runs)
-                in
-                let quarantined =
-                  mean_of
-                    (List.map
-                       (fun r ->
-                         float_of_int
-                           (Ks_core.Comm.quarantine_events
-                              r.Ks_core.Everywhere.ae.Ks_core.Ae_ba.comm))
-                       runs)
-                in
+                let mean sel = mean_int sel runs in
                 [
                   atk.Ks_attacks.name;
                   Table.fpct f;
                   (if quarantine then "on" else "off");
-                  Printf.sprintf "%d/%d" succ total;
-                  Table.ffloat ~decimals:0 (bits /. 1000.);
-                  Table.ffloat ~decimals:0 rounds;
-                  Table.ffloat ~decimals:1 quarantined;
+                  Printf.sprintf "%d/%d" (agreed runs) total;
+                  Table.ffloat ~decimals:0 (mean (fun r -> r.Run.max_bits) /. 1000.);
+                  Table.ffloat ~decimals:0 (mean (fun r -> r.Run.rounds));
+                  Table.ffloat ~decimals:1 (mean (fun r -> r.Run.quarantined));
                   Printf.sprintf "%d/%d" rabin_agree total;
                 ])
               [ true; false ])

@@ -51,6 +51,12 @@ val t7_hiding : ?trials:int -> unit -> row list
 (** T8: sampler quality (Lemma 2) — measured δ and max degree vs d. *)
 val t8_samplers : ?r:int -> ?s:int -> unit -> row list
 
+(** T9's and T16's adversary in the registry's shape: a static random
+    set of Garbage senders that only carries its tournament corruptions
+    into amplification (Rabin faces byz-static's vote flipper).  Its
+    budget is each table cell's corruption fraction. *)
+val static_carry_only : Ks_attacks.t
+
 (** T9: everywhere-BA success rate vs corruption fraction (the 1/3
     threshold). *)
 val t9_threshold : ?n:int -> ?seeds:int list -> unit -> row list

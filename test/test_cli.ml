@@ -141,6 +141,24 @@ let test_ba_sim_attack_flag () =
   Alcotest.(check int) "preset exit = manual-spec exit" mc pc;
   Alcotest.(check string) "preset output = manual-spec output" mo po
 
+(* The ae verdict is Theorem 2's: this run reaches full a.e. agreement on
+   a valid value (its majority value happens to be 0), with decode
+   failures — degraded, not failed.  [--adversary] and [--attack] name
+   the same registry entry. *)
+let test_ba_sim_ae_verdict () =
+  let cmd flag =
+    ba_sim ^ " run -p ae -n 16 " ^ flag ^ " equivocate --corrupt 0.2 --seed 1"
+  in
+  let code, out, _ = run (cmd "--attack") in
+  Alcotest.(check int) "full agreement, majority=false: exit 3" 3 code;
+  Alcotest.(check bool) "prints the run" true
+    (contains out "agreement=100.0% majority=false valid=true");
+  Alcotest.(check bool) "prints the elections" true (contains out "election l");
+  Alcotest.(check bool) "no failure" false (contains out "FAILED");
+  let code', out', _ = run (cmd "--adversary") in
+  Alcotest.(check int) "--adversary NAME: same exit" code code';
+  Alcotest.(check string) "--adversary NAME: same output" out out'
+
 let test_bench_unknown_flag () =
   check_usage "bench unknown option" (run (bench ^ " --definitely-not-a-flag"))
     ~expect_code:2;
@@ -206,6 +224,7 @@ let () =
           Alcotest.test_case "list attacks" `Quick test_ba_sim_list_attacks;
           Alcotest.test_case "list faults" `Quick test_ba_sim_list_faults;
           Alcotest.test_case "attack flag" `Quick test_ba_sim_attack_flag;
+          Alcotest.test_case "ae verdict" `Quick test_ba_sim_ae_verdict;
         ] );
       ( "bench",
         [ Alcotest.test_case "unknown flag" `Quick test_bench_unknown_flag ] );
