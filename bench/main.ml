@@ -2,9 +2,10 @@
 
    Modes:
    - no arguments / [--quick]: regenerate every experiment table of
-     EXPERIMENTS.md (T1–T10) by running the full protocol stack, the
+     EXPERIMENTS.md (T1–T17) by running the full protocol stack, the
      baselines and the substrate measurements.
-   - [--table tN]: regenerate a single table.
+   - [--table tN]: regenerate a single table, exactly as the full run
+     does (same sizes, same invariant monitors).
    - [--bechamel]: wall-clock micro-benchmarks, one [Test.make] per table
      (the dominating kernel of each experiment).
    - [--json FILE]: coding-kernel micro-benchmarks (field mul, Lagrange
@@ -21,33 +22,6 @@ module Inputs = Ks_workload.Inputs
 module Run = Ks_workload.Run
 module Params = Ks_core.Params
 module Prng = Ks_stdx.Prng
-
-let scaling_pts = lazy (Experiments.collect_scaling ~ns:[ 64; 128; 256 ] ~seeds:[ 1 ])
-
-let known_tables = List.init 17 (fun i -> Printf.sprintf "t%d" (i + 1))
-
-let run_table = function
-  | "t1" -> ignore (Experiments.t1_bits (Lazy.force scaling_pts))
-  | "t2" -> ignore (Experiments.t2_latency (Lazy.force scaling_pts))
-  | "t3" -> ignore (Experiments.t3_ae_agreement ())
-  | "t4" -> ignore (Experiments.t4_aeba_coins ())
-  | "t5" -> ignore (Experiments.t5_election ())
-  | "t6" -> ignore (Experiments.t6_a2e ())
-  | "t7" -> ignore (Experiments.t7_hiding ())
-  | "t8" -> ignore (Experiments.t8_samplers ())
-  | "t9" -> ignore (Experiments.t9_threshold ())
-  | "t10" -> ignore (Experiments.t10_crossover (Lazy.force scaling_pts))
-  | "t11" -> ignore (Experiments.t11_ablation ())
-  | "t12" -> ignore (Experiments.t12_universe ())
-  | "t13" -> ignore (Experiments.t13_kssv ())
-  | "t14" -> ignore (Experiments.t14_parameters ())
-  | "t15" -> ignore (Experiments.t15_async ())
-  | "t16" -> ignore (Experiments.t16_faults ())
-  | "t17" -> ignore (Experiments.t17_attacks ())
-  | other ->
-    (* Callers validate against [known_tables] first; keep a hard failure
-       here so the two lists cannot silently drift apart. *)
-    invalid_arg (Printf.sprintf "run_table: %S not in t1..t17" other)
 
 (* --- Bechamel micro-benchmarks: one kernel per table. --- *)
 
@@ -397,7 +371,7 @@ let usage_and_exit () =
   prerr_endline
     "usage: main.exe [--quick | --table tN | --bechamel | --json FILE] [--trace FILE]";
   prerr_endline "                [--baseline FILE] [--enforce-baseline]";
-  Printf.eprintf "  tables: %s\n" (String.concat " " known_tables);
+  Printf.eprintf "  tables: %s\n" (String.concat " " Experiments.table_names);
   prerr_endline "  --json FILE: coding-kernel microbenchmarks as ks-bench/1 JSON";
   prerr_endline "               (--quick shortens the measurement quota;";
   prerr_endline "                --baseline FILE prints a speedup table and flags >2x";
@@ -460,14 +434,6 @@ let () =
        prerr_endline "bench: --json combines only with --quick/--baseline";
        usage_and_exit ())
   | None ->
-    let traced f =
-      match trace with
-      | None -> f ()
-      | Some sink ->
-        let hub = Ks_monitor.Hub.create ~trace:sink [] in
-        Ks_monitor.Hub.with_ambient hub f;
-        ignore (Ks_monitor.Hub.finish hub)
-    in
     (* Exactly one mode; anything unrecognised is an error, not a no-op. *)
     (match args with
      | [ "--bechamel" ] -> run_bechamel ()
@@ -475,7 +441,7 @@ let () =
        prerr_endline "bench: --table requires a table name";
        usage_and_exit ()
      | [ "--table"; name ] ->
-       if List.mem name known_tables then traced (fun () -> run_table name)
+       if List.mem name Experiments.table_names then Experiments.run_table ?trace name
        else begin
          Printf.eprintf "bench: unknown table %S (expected t1..t17)\n" name;
          usage_and_exit ()

@@ -48,24 +48,11 @@ type 'msg t = {
   (* No rounds in the async model: events carry the delivery-event count
      instead, so a trace still orders the run. *)
   mutable delivered : int;
-  faults : Ks_faults.Injector.t option;
-  hub : Ks_monitor.Hub.t option;
-  mutable net_id : int;
+  tap : Ks_sim.Tap.t;
 }
 
-let emit t ev = match t.hub with None -> () | Some h -> Ks_monitor.Hub.emit h ev
-
-let create ?hub ?faults ?(label = "async") ~seed ~n ~corrupt ~msg_bits ~scheduler () =
+let create ?(label = "async") ~seed ~n ~corrupt ~msg_bits ~scheduler () =
   if n <= 0 then invalid_arg "Async_net.create: n must be positive";
-  (* Benign faults, as in [Ks_sim.Net]: explicit plan, else ambient.  The
-     round-free async model has no churn pass, so only the in-flight
-     omission/duplication rates of the plan apply here. *)
-  let faults =
-    match faults with Some _ as f -> f | None -> Ks_faults.Plan.ambient ()
-  in
-  let faults =
-    Option.bind faults (fun plan -> Ks_faults.Injector.create plan ~label ~n)
-  in
   let corrupt_arr = Array.make n false in
   List.iter (fun p -> if p >= 0 && p < n then corrupt_arr.(p) <- true) corrupt;
   let starved = Array.make n false in
@@ -73,39 +60,24 @@ let create ?hub ?faults ?(label = "async") ~seed ~n ~corrupt ~msg_bits ~schedule
    | Fair -> ()
    | Delay_targets targets ->
      List.iter (fun p -> if p >= 0 && p < n then starved.(p) <- true) targets);
-  let hub = match hub with Some _ as h -> h | None -> Ks_monitor.Hub.ambient () in
-  let t =
-    {
-      size = n;
-      corrupt = corrupt_arr;
-      starved;
-      meter = Ks_sim.Meter.create ~n;
-      msg_bits;
-      rng = Prng.create seed;
-      free = Pool.create ();
-      held = Pool.create ();
-      delivered = 0;
-      faults;
-      hub;
-      net_id = 0;
-    }
-  in
-  (match hub with
-   | Some h ->
-     let budget = Array.fold_left (fun a c -> if c then a + 1 else a) 0 corrupt_arr in
-     t.net_id <- Ks_monitor.Hub.register_net h ~label ~n ~budget;
-     let total = ref 0 in
-     Array.iteri
-       (fun p c ->
-         if c then begin
-           incr total;
-           emit t
-             (Ks_monitor.Event.Corrupt
-                { net = t.net_id; round = 0; proc = p; total = !total; budget })
-         end)
-       corrupt_arr
-   | None -> ());
-  t
+  (* Corruption is static: the whole budget falls before the first
+     delivery.  The round-free model has no churn pass, so only the
+     plan's in-flight omission/duplication rates apply here. *)
+  let fallen = List.filter (fun p -> corrupt_arr.(p)) (List.init n Fun.id) in
+  let tap = Ks_sim.Tap.create ~label ~n ~budget:(List.length fallen) in
+  List.iteri (fun i p -> Ks_sim.Tap.corrupt tap ~round:0 ~proc:p ~total:(i + 1)) fallen;
+  {
+    size = n;
+    corrupt = corrupt_arr;
+    starved;
+    meter = Ks_sim.Meter.create ~n;
+    msg_bits;
+    rng = Prng.create seed;
+    free = Pool.create ();
+    held = Pool.create ();
+    delivered = 0;
+    tap;
+  }
 
 let n t = t.size
 let is_corrupt t p = t.corrupt.(p)
@@ -119,53 +91,20 @@ let send t msgs =
         let bits = t.msg_bits e.payload in
         if not t.corrupt.(e.src) then
           Ks_sim.Meter.charge_send t.meter e.src ~bits;
-        emit t
-          (Ks_monitor.Event.Send
-             { net = t.net_id; round = t.delivered; src = e.src; dst = e.dst;
-               bits; adv = t.corrupt.(e.src) });
         (* In-flight benign faults apply at enqueue time: the sender has
            paid either way; omission loses the message, duplication
            schedules (and later charges the receiver for) a second copy. *)
-        let enqueue () =
+        for _ = 1 to
+          Ks_sim.Tap.send t.tap ~round:t.delivered ~src:e.src ~dst:e.dst ~bits
+            ~adv:t.corrupt.(e.src)
+        do
           if t.starved.(e.dst) then Pool.push t.held e else Pool.push t.free e
-        in
-        match t.faults with
-        | None -> enqueue ()
-        | Some inj -> (
-          match Ks_faults.Injector.transit inj with
-          | `Deliver -> enqueue ()
-          | `Drop ->
-            emit t
-              (Ks_monitor.Event.Fault
-                 { net = t.net_id; round = t.delivered; kind = "drop";
-                   proc = e.src; dst = e.dst; info = bits })
-          | `Duplicate ->
-            enqueue ();
-            enqueue ();
-            emit t
-              (Ks_monitor.Event.Fault
-                 { net = t.net_id; round = t.delivered; kind = "dup";
-                   proc = e.src; dst = e.dst; info = bits }))
+        done
       end)
     msgs
 
-let decide t p value = emit t (Ks_monitor.Event.Decide { net = t.net_id; proc = p; value })
-
-let emit_meter t =
-  match t.hub with
-  | None -> ()
-  | Some _ ->
-    for p = 0 to t.size - 1 do
-      emit t
-        (Ks_monitor.Event.Meter_proc
-           { net = t.net_id; proc = p; sent_bits = Ks_sim.Meter.sent_bits t.meter p;
-             recv_bits = Ks_sim.Meter.recv_bits t.meter p;
-             sent_msgs = Ks_sim.Meter.sent_msgs t.meter p })
-    done;
-    emit t
-      (Ks_monitor.Event.Run_end
-         { net = t.net_id; rounds = t.delivered;
-           total_bits = Ks_sim.Meter.total_sent_bits t.meter })
+let decide t p value = Ks_sim.Tap.decide t.tap ~proc:p ~value
+let emit_meter t = Ks_sim.Tap.emit_meter t.tap t.meter ~rounds:t.delivered
 
 let step t ~handler =
   if pending t = 0 then false

@@ -26,18 +26,15 @@ type 'msg scheduler =
 type 'msg t
 
 (** [create ~seed ~n ~corrupt ~msg_bits ~scheduler ()] — like
-    [Ks_sim.Net.create], reports to [?hub] (default: the ambient hub,
-    see [Ks_monitor.Hub.with_ambient]).  Events carry the delivery-event
-    count in place of a round number — the async model has no rounds.
+    [Ks_sim.Net.create], reports to the hub in scope at creation (see
+    [Ks_sim.Tap]).  Events carry the delivery-event count in place of a
+    round number — the async model has no rounds.
 
-    [?faults] (default: the ambient [Ks_faults.Plan]) weakens the
-    eventual-delivery guarantee with benign in-flight faults: each
-    enqueued message may be dropped or duplicated per the plan's [drop]
-    and [dup] rates.  The plan's churn and silence rates need a round
-    structure and do not apply here. *)
+    A fault plan in scope weakens the eventual-delivery guarantee with
+    benign in-flight faults: each enqueued message may be dropped or
+    duplicated per the plan's [drop] and [dup] rates.  The plan's churn
+    and silence rates need a round structure and do not apply here. *)
 val create :
-  ?hub:Ks_monitor.Hub.t ->
-  ?faults:Ks_faults.Plan.t ->
   ?label:string ->
   seed:int64 ->
   n:int ->

@@ -34,9 +34,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~tree_strateg
   let root = Prng.create seed in
   let ae_seed = Prng.bits64 root in
   let a2e_seed = Prng.bits64 root in
-  (match Ks_monitor.Hub.ambient () with
-   | Some h -> Ks_monitor.Hub.phase h "tournament"
-   | None -> ());
+  Ks_sim.Tap.phase "tournament";
   let ae =
     Ae_ba.run ~retries ?quarantine ~params ~seed:ae_seed ~inputs ~behavior
       ~strategy:tree_strategy ?budget ()
@@ -57,9 +55,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~tree_strateg
   Log.info (fun m ->
       m "tournament done: a.e. agreement %.3f, %d corrupted; amplifying"
         ae.Ae_ba.agreement (List.length carried));
-  (match Ks_monitor.Hub.ambient () with
-   | Some h -> Ks_monitor.Hub.phase h "amplify"
-   | None -> ());
+  Ks_sim.Tap.phase "amplify";
   let knows p = Some (Bool.to_int ae.Ae_ba.votes.(p)) in
   let a2e =
     Ae_to_e.run ~net:a2e_net ~config ~knows ~coin:ae.Ae_ba.coin_view

@@ -107,11 +107,11 @@ let of_string_or_preset s =
   | Some (_, p, _) -> Ok p
   | None -> of_string s
 
-(* Ambient plan, mirroring Ks_monitor.Hub: [Net.create] and
-   [Async_net.create] default their [?faults] argument to the ambient
-   plan, so a single [with_plan] around a run covers every net the run
-   creates (tree, a2e, baselines) without threading a parameter through
-   each layer. *)
+(* Ambient plan, mirroring Ks_monitor.Hub: every network reads the
+   ambient plan once, when it is created (through [Ks_sim.Tap]), so a
+   single [with_plan] around a run covers every net the run creates
+   (tree, a2e, baselines) without threading a parameter through each
+   layer.  It is the only way to fault a network. *)
 
 let current : t option ref = ref None
 let ambient () = !current

@@ -1,5 +1,5 @@
 type t = {
-  mutable monitors : Monitor.t list;
+  monitors : Monitor.t list;
   trace : Trace.sink option;
   trace_sends : bool;
   close_trace : bool;
@@ -18,9 +18,6 @@ let create ?trace ?(trace_sends = true) ?(close_trace = true) monitors =
     net_counter = 0;
     finished = false;
   }
-
-let add_monitor t m = t.monitors <- t.monitors @ [ m ]
-let trace t = t.trace
 
 let violation_event (v : Monitor.violation) =
   Event.Violation
@@ -88,13 +85,10 @@ let render_violations vs =
     ~headers:[ "invariant"; "net"; "proc"; "round"; "observed"; "bound"; "detail" ]
     rows
 
-let report t =
-  match violations t with [] -> None | vs -> Some (render_violations vs)
-
-(* --- Ambient installation.  [Ks_sim.Net.create] attaches the ambient
-   hub by default, so wrapping any existing entry point in
-   [with_ambient] monitors every network it creates without threading a
-   parameter through the whole stack. --- *)
+(* --- Ambient installation.  Every network picks up the ambient hub
+   when it is created (through [Ks_sim.Tap]), so wrapping any existing
+   entry point in [with_ambient] monitors every network it creates
+   without threading a parameter through the whole stack. --- *)
 
 let current : t option ref = ref None
 let ambient () = !current

@@ -1,11 +1,11 @@
 (** The hub fans one event stream out to a trace sink and a set of
     monitors, and collects the violations they emit.
 
-    Wiring: [Ks_sim.Net.create] attaches a hub (an explicit [?hub]
-    argument, or the {e ambient} hub installed by {!with_ambient}) and
-    registers itself via {!register_net}; every subsequent exchange
-    feeds events here.  [Ks_sim.Engine.run ?monitors ?trace] builds a
-    hub and attaches it for protocol-level users. *)
+    Wiring: there is one attach path.  Every network ([Ks_sim.Net],
+    [Ks_async.Async_net]) reads the {e ambient} hub installed by
+    {!with_ambient} once, when it is created, through its
+    [Ks_sim.Tap], and registers itself via {!register_net}; every
+    subsequent exchange feeds events here. *)
 
 type t
 
@@ -18,9 +18,6 @@ type t
     it. *)
 val create :
   ?trace:Trace.sink -> ?trace_sends:bool -> ?close_trace:bool -> Monitor.t list -> t
-
-val add_monitor : t -> Monitor.t -> unit
-val trace : t -> Trace.sink option
 
 (** [emit t ev] — write to the trace and feed every monitor. *)
 val emit : t -> Event.t -> unit
@@ -42,12 +39,9 @@ val finish : t -> Monitor.violation list
 (** [render_violations vs] — the violation table ([Ks_stdx.Table]). *)
 val render_violations : Monitor.violation list -> string
 
-(** [report t] — [Some table] when violations were recorded. *)
-val report : t -> string option
-
 (** {1 Ambient installation} *)
 
-(** The hub new networks attach to when no explicit [?hub] is given. *)
+(** The hub new networks attach to. *)
 val ambient : unit -> t option
 
 (** [with_ambient t f] — run [f] with [t] installed as the ambient hub

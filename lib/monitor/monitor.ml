@@ -21,19 +21,6 @@ let name t = t.name
 let feed t ~emit ev = t.on_event ~emit ev
 let finish t ~emit = t.at_finish ~emit
 
-let hooks ~name ?(on_round = fun ~emit:_ ~net:_ ~round:_ -> ())
-    ?(on_send = fun ~emit:_ ~net:_ ~round:_ ~src:_ ~dst:_ ~bits:_ ~adv:_ -> ())
-    ?(on_decide = fun ~emit:_ ~net:_ ~proc:_ ~value:_ -> ()) ?at_finish () =
-  make ~name
-    ~on_event:(fun ~emit ev ->
-      match ev with
-      | Event.Round_start { net; round } -> on_round ~emit ~net ~round
-      | Event.Send { net; round; src; dst; bits; adv } ->
-        on_send ~emit ~net ~round ~src ~dst ~bits ~adv
-      | Event.Decide { net; proc; value } -> on_decide ~emit ~net ~proc ~value
-      | _ -> ())
-    ?at_finish ()
-
 let log2f n = log (float_of_int (Stdlib.max 2 n)) /. log 2.0
 
 (* --- Built-in monitors.  Each keeps per-net state keyed by the net id

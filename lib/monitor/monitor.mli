@@ -33,20 +33,6 @@ val make :
   unit ->
   t
 
-(** [hooks ~name ?on_round ?on_send ?on_decide ?at_finish ()] — the
-    hook-style constructor: per-round, per-send and per-decision
-    callbacks dispatched from the event stream. *)
-val hooks :
-  name:string ->
-  ?on_round:(emit:(violation -> unit) -> net:int -> round:int -> unit) ->
-  ?on_send:
-    (emit:(violation -> unit) ->
-    net:int -> round:int -> src:int -> dst:int -> bits:int -> adv:bool -> unit) ->
-  ?on_decide:(emit:(violation -> unit) -> net:int -> proc:int -> value:int -> unit) ->
-  ?at_finish:(emit:(violation -> unit) -> unit) ->
-  unit ->
-  t
-
 val name : t -> string
 
 (** [feed t ~emit ev] — drive one event through the monitor (the hub

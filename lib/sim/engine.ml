@@ -7,18 +7,9 @@ type ('state, 'msg) protocol = {
     'state * 'msg envelope list;
 }
 
-let install net monitors trace =
-  match (monitors, trace) with
-  | None, None -> ()
-  | monitors, trace ->
-    let hub =
-      Ks_monitor.Hub.create ?trace (Option.value monitors ~default:[])
-    in
-    Net.attach_hub net hub
-
-let run_mutable ?monitors ?trace net protocol ~rounds ~states =
-  install net monitors trace;
+let run net protocol ~rounds =
   let n = Net.n net in
+  let states = Array.init n protocol.init in
   let inboxes = ref (Array.make n []) in
   for r = 0 to rounds - 1 do
     let outgoing = ref [] in
@@ -32,9 +23,5 @@ let run_mutable ?monitors ?trace net protocol ~rounds ~states =
       end
     done;
     inboxes := Net.exchange net !outgoing
-  done
-
-let run ?monitors ?trace net protocol ~rounds =
-  let states = Array.init (Net.n net) protocol.init in
-  run_mutable ?monitors ?trace net protocol ~rounds ~states;
+  done;
   states

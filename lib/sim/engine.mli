@@ -19,24 +19,6 @@ type ('state, 'msg) protocol = {
 
 (** [run net protocol ~rounds] plays [rounds] rounds and returns the final
     state array.  States of processors corrupted at round [r] are frozen
-    as of round [r] (exactly what the adversary captured).  The [states]
-    array is also exposed {e during} the run via [running_states] so that
-    adversary closures can inspect what they seize.
-
-    [?monitors]/[?trace] install an invariant-monitor hub on [net] for
-    the duration of the run (see [Ks_monitor]): every round, send and
-    corruption is reported, [trace] receives the JSONL event stream.
-    When both are omitted the net keeps whatever hub it already has
-    (explicit or ambient). *)
-val run :
-  ?monitors:Ks_monitor.Monitor.t list ->
-  ?trace:Ks_monitor.Trace.sink ->
-  'msg Net.t -> ('state, 'msg) protocol -> rounds:int -> 'state array
-
-(** [run_mutable net protocol ~rounds ~states] — like [run] but operates
-    on a caller-supplied state array (so attack strategies built before
-    the run can capture it). *)
-val run_mutable :
-  ?monitors:Ks_monitor.Monitor.t list ->
-  ?trace:Ks_monitor.Trace.sink ->
-  'msg Net.t -> ('state, 'msg) protocol -> rounds:int -> states:'state array -> unit
+    as of round [r] (exactly what the adversary captured).  Monitoring
+    and faults are whatever [net] picked up at creation (see {!Tap}). *)
+val run : 'msg Net.t -> ('state, 'msg) protocol -> rounds:int -> 'state array

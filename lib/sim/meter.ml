@@ -15,8 +15,6 @@ let create ~n =
     rounds = 0;
   }
 
-let n t = t.size
-
 let charge_send t p ~bits =
   t.sent_bits.(p) <- t.sent_bits.(p) + bits;
   t.sent_msgs.(p) <- t.sent_msgs.(p) + 1
@@ -34,7 +32,6 @@ let max_sent_bits t ~over =
   List.fold_left (fun acc p -> Stdlib.max acc t.sent_bits.(p)) 0 over
 
 let total_sent_bits t = Array.fold_left ( + ) 0 t.sent_bits
-let total_sent_msgs t = Array.fold_left ( + ) 0 t.sent_msgs
 
 let merge_into dst src =
   if dst.size <> src.size then invalid_arg "Meter.merge_into: size mismatch";

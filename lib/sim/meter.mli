@@ -7,7 +7,6 @@
 type t
 
 val create : n:int -> t
-val n : t -> int
 
 val charge_send : t -> Types.proc -> bits:int -> unit
 val charge_recv : t -> Types.proc -> bits:int -> unit
@@ -25,7 +24,6 @@ val sent_msgs : t -> Types.proc -> int
 val max_sent_bits : t -> over:Types.proc list -> int
 
 val total_sent_bits : t -> int
-val total_sent_msgs : t -> int
 
 (** [merge_into dst src] adds [src]'s counters (including rounds) into
     [dst]; used to combine the meters of sequentially composed

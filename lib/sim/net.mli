@@ -17,39 +17,28 @@
 
     The network never reorders good processors' messages and never
     forges a good source address.  It {e can} drop or duplicate messages
-    — but only under an explicit benign-fault plan ([?faults], or the
-    ambient [Ks_faults.Plan]); with no plan the channels are perfectly
-    reliable.  Benign faults sit {e below} the adversary: crash/recover
-    churn and silence windows suppress sends before the adversary sees
-    the round's traffic, in-flight omission/duplication applies to
-    adversarial messages too, and none of it consumes the corruption
-    budget.  See docs/FAULTS.md. *)
+    — but only under a benign-fault plan installed around the run (see
+    {!Tap}); with no plan the channels are perfectly reliable.  Benign
+    faults sit {e below} the adversary: crash/recover churn and silence
+    windows suppress sends before the adversary sees the round's
+    traffic, in-flight omission/duplication applies to adversarial
+    messages too, and none of it consumes the corruption budget.  See
+    docs/FAULTS.md. *)
 
 type 'msg t
 
 (** [create ~seed ~n ~budget ~msg_bits ~strategy] — a fresh network of
     [n] processors; the adversary may corrupt at most [budget] of them in
-    total, and [msg_bits] prices each payload for the meter.
+    total, and [msg_bits] prices each payload for the meter.  [?label]
+    names the protocol phase in the event stream ("tree", "a2e",
+    "rabin", ...) and seeds the net's fault stream.
 
-    Monitoring: the network reports every round, send, corruption and
-    decision to [?hub] — defaulting to the {e ambient} hub
-    ([Ks_monitor.Hub.ambient ()]), so wrapping a run in
-    [Ks_monitor.Hub.with_ambient] monitors every network it creates.
-    [?label] names the protocol phase in the event stream ("tree",
-    "a2e", "rabin", ...).  With no hub in scope the instrumentation is
-    inert; it never touches the PRNG streams either way, so monitored
-    and unmonitored runs are bit-identical.
-
-    Faults: [?faults] installs a benign-fault plan for this net,
-    defaulting to the ambient plan ([Ks_faults.Plan.ambient ()]).  A
-    trivial or absent plan builds no injector — no extra RNG draws, no
-    extra events — so unfaulted runs are bit-identical to the
-    pre-fault-layer behaviour.  The injector draws from its own stream
-    seeded by [plan.seed] and the net label, never from the engine,
-    adversary or processor streams. *)
+    Monitoring and faults are ambient: the net's {!Tap} picks up the hub
+    and fault plan in scope at creation and reports every round, send,
+    corruption, fault and decision there.  Neither touches the PRNG
+    streams, so monitored and unmonitored runs are bit-identical, and a
+    trivial or absent plan is bit-identical to reliable channels. *)
 val create :
-  ?hub:Ks_monitor.Hub.t ->
-  ?faults:Ks_faults.Plan.t ->
   ?label:string ->
   seed:int64 ->
   n:int ->
@@ -64,7 +53,6 @@ val round : 'msg t -> int
 val meter : 'msg t -> Meter.t
 val is_corrupt : 'msg t -> Types.proc -> bool
 val corrupt_count : 'msg t -> int
-val budget : 'msg t -> int
 
 (** Good (never corrupted) processors, ascending. *)
 val good_procs : 'msg t -> Types.proc list
@@ -90,14 +78,6 @@ val exchange : 'msg t -> 'msg Types.envelope list -> 'msg Types.envelope list ar
 val corrupt_now : 'msg t -> Types.proc list -> unit
 
 (** {1 Monitoring} *)
-
-(** The hub this network reports to, if any. *)
-val hub : 'msg t -> Ks_monitor.Hub.t option
-
-(** [attach_hub t hub] — attach after creation (how
-    [Engine.run ?monitors] installs monitors).  Registers the net with
-    [hub] and replays the corruptions the hub missed. *)
-val attach_hub : 'msg t -> Ks_monitor.Hub.t -> unit
 
 (** [decide t p v] — record good processor [p]'s final decision in the
     event stream (protocols with an everywhere-agreement contract call

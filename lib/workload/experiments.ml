@@ -1064,65 +1064,91 @@ let monitored ?trace ?(monitors = standard_monitors) name f =
       (Printf.sprintf "%s: %d invariant violation(s) — see table above" name
          (List.length vs))
 
-let run_all ?(quick = false) ?trace () =
+(* --- The table list: [run_all] runs it in order, [run_table] runs one
+   entry alone, both at the same (full or quick) size and under the same
+   monitors.  An entry with no monitors drives no networks of its own:
+   T1, T2 and T10 read the shared scaling runs, which are monitored as
+   "scaling" when first forced. --- *)
+
+type sizes = { quick : bool; scaling : scaling_point list Lazy.t }
+
+type table = {
+  name : string;
+  monitors : unit -> Ks_monitor.Monitor.t list;
+  run : sizes -> unit;
+}
+
+let budget_only () = [ Ks_monitor.Monitor.corruption_budget () ]
+
+let tables =
+  let pick s ~quick ~full = if s.quick then quick else full in
+  let seeds3 s = pick s ~quick:[ 1 ] ~full:[ 1; 2; 3 ] in
+  let none () = [] in
+  let table ?(monitors = standard_monitors) name run = { name; monitors; run } in
+  let scaling name f = table ~monitors:none name (fun s -> ignore (f (Lazy.force s.scaling))) in
+  [
+    scaling "t1" t1_bits;
+    scaling "t2" t2_latency;
+    table "t3" (fun s ->
+        ignore
+          (t3_ae_agreement ~ns:(pick s ~quick:[ 64 ] ~full:[ 64; 128 ])
+             ~seeds:(pick s ~quick:[ 1 ] ~full:[ 1; 2 ]) ()));
+    table "t4" (fun s ->
+        ignore
+          (t4_aeba_coins ~n:(pick s ~quick:128 ~full:256)
+             ~trials:(pick s ~quick:4 ~full:10) ()));
+    table "t5" (fun s ->
+        ignore (t5_election ~candidates:256 ~trials:(pick s ~quick:50 ~full:200) ()));
+    table "t6" (fun s ->
+        ignore
+          (t6_a2e ~ns:(pick s ~quick:[ 256 ] ~full:[ 256; 1024 ]) ~seeds:(seeds3 s) ()));
+    table ~monitors:none "t7" (fun s ->
+        ignore (t7_hiding ~trials:(pick s ~quick:4000 ~full:20000) ()));
+    table ~monitors:none "t8" (fun _ -> ignore (t8_samplers ()));
+    table "t9" (fun s -> ignore (t9_threshold ~n:64 ~seeds:(seeds3 s) ()));
+    scaling "t10" t10_crossover;
+    table "t11" (fun s -> ignore (t11_ablation ~n:64 ~seeds:(seeds3 s) ()));
+    table "t12" (fun s -> ignore (t12_universe ~n:64 ~seeds:(seeds3 s) ()));
+    table "t13" (fun s ->
+        ignore (t13_kssv ~n:(pick s ~quick:128 ~full:256) ~seeds:(seeds3 s) ()));
+    table ~monitors:none "t14" (fun _ -> ignore (t14_parameters ()));
+    table "t15" (fun s ->
+        ignore
+          (t15_async ~ns:(pick s ~quick:[ 32 ] ~full:[ 32; 64; 128 ]) ~seeds:(seeds3 s)
+             ()));
+    (* T16 drives deliberately faulted nets: retry rounds and duplicated
+       deliveries overrun the fault-free bit and round envelopes by
+       design, so only the budget invariant is enforced — benign faults
+       must never consume the adversary's corruption budget. *)
+    table ~monitors:budget_only "t16" (fun s ->
+        ignore (t16_faults ~n:32 ~seeds:(pick s ~quick:[ 1 ] ~full:[ 1; 2 ]) ()));
+    (* T17 runs deliberate attacks, several past the 1/3 threshold and
+       all of them flooding crafted traffic, so the bit and round
+       envelopes do not apply; the budget invariant still must hold —
+       attacks corrupt only through the adversary interface. *)
+    table ~monitors:budget_only "t17" (fun s ->
+        ignore (t17_attacks ~n:32 ~seeds:(pick s ~quick:[ 1 ] ~full:[ 1; 2 ]) ()));
+  ]
+
+let table_names = List.map (fun t -> t.name) tables
+
+let run_tables ~quick ?trace tables =
   let monitored ?monitors name f = monitored ?trace ?monitors name f in
-  let ns_scaling = if quick then [ 64; 128 ] else [ 64; 128; 256; 512 ] in
-  let seeds = if quick then [ 1 ] else [ 1; 2 ] in
-  let pts = monitored "scaling" (fun () -> collect_scaling ~ns:ns_scaling ~seeds) in
-  ignore (t1_bits pts);
-  ignore (t2_latency pts);
-  monitored "t3" (fun () ->
-      ignore
-        (t3_ae_agreement
-           ~ns:(if quick then [ 64 ] else [ 64; 128 ])
-           ~seeds:(if quick then [ 1 ] else [ 1; 2 ])
-           ()));
-  monitored "t4" (fun () ->
-      ignore
-        (t4_aeba_coins ~n:(if quick then 128 else 256)
-           ~trials:(if quick then 4 else 10) ()));
-  monitored "t5" (fun () ->
-      ignore (t5_election ~candidates:256 ~trials:(if quick then 50 else 200) ()));
-  monitored "t6" (fun () ->
-      ignore
-        (t6_a2e
-           ~ns:(if quick then [ 256 ] else [ 256; 1024 ])
-           ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ])
-           ()));
-  ignore (t7_hiding ~trials:(if quick then 4000 else 20000) ());
-  ignore (t8_samplers ());
-  monitored "t9" (fun () ->
-      ignore (t9_threshold ~n:64 ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  ignore (t10_crossover pts);
-  monitored "t11" (fun () ->
-      ignore (t11_ablation ~n:64 ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  monitored "t12" (fun () ->
-      ignore (t12_universe ~n:64 ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  monitored "t13" (fun () ->
-      ignore
-        (t13_kssv ~n:(if quick then 128 else 256)
-           ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]) ()));
-  ignore (t14_parameters ());
-  monitored "t15" (fun () ->
-      ignore
-        (t15_async
-           ~ns:(if quick then [ 32 ] else [ 32; 64; 128 ])
-           ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ])
-           ()));
-  (* T16 drives deliberately faulted nets: retry rounds and duplicated
-     deliveries overrun the fault-free bit and round envelopes by
-     design, so only the budget invariant is enforced — benign faults
-     must never consume the adversary's corruption budget. *)
-  monitored "t16"
-    ~monitors:(fun () -> [ Ks_monitor.Monitor.corruption_budget () ])
-    (fun () ->
-      ignore (t16_faults ~n:32 ~seeds:(if quick then [ 1 ] else [ 1; 2 ]) ()));
-  (* T17 runs deliberate attacks, several past the 1/3 threshold and all
-     of them flooding crafted traffic, so the bit and round envelopes do
-     not apply; the budget invariant still must hold — attacks corrupt
-     only through the adversary interface. *)
-  monitored "t17"
-    ~monitors:(fun () -> [ Ks_monitor.Monitor.corruption_budget () ])
-    (fun () ->
-      ignore (t17_attacks ~n:32 ~seeds:(if quick then [ 1 ] else [ 1; 2 ]) ()));
+  let scaling =
+    lazy
+      (monitored "scaling" (fun () ->
+           collect_scaling
+             ~ns:(if quick then [ 64; 128 ] else [ 64; 128; 256; 512 ])
+             ~seeds:(if quick then [ 1 ] else [ 1; 2 ])))
+  in
+  List.iter
+    (fun t -> monitored ~monitors:t.monitors t.name (fun () -> t.run { quick; scaling }))
+    tables;
   match trace with Some sink -> Ks_monitor.Trace.close sink | None -> ()
+
+let run_all ?(quick = false) ?trace () = run_tables ~quick ?trace tables
+
+let run_table ?trace name =
+  match List.filter (fun t -> String.equal t.name name) tables with
+  | [] -> invalid_arg (Printf.sprintf "Experiments.run_table: no table %S" name)
+  | one -> run_tables ~quick:false ?trace one

@@ -1,5 +1,5 @@
 (** The reproduction experiments — one function per table of
-    EXPERIMENTS.md (T1–T10, DESIGN.md §3).
+    EXPERIMENTS.md (T1–T17, DESIGN.md §3).
 
     Every function prints its table (via [Ks_stdx.Table]) and returns the
     rows so tests can assert on them.  [quick] shrinks sizes/seeds to
@@ -100,17 +100,18 @@ val t17_attacks : ?n:int -> ?seeds:int list -> unit -> row list
     baselines exist to violate them). *)
 val standard_monitors : unit -> Ks_monitor.Monitor.t list
 
-(** [monitored ?trace name f] — run [f] under an ambient hub with
-    {!standard_monitors} (or [?monitors]); on any violation, print the
-    violation table and raise [Failure]. *)
-val monitored :
-  ?trace:Ks_monitor.Trace.sink ->
-  ?monitors:(unit -> Ks_monitor.Monitor.t list) ->
-  string ->
-  (unit -> 'a) ->
-  'a
+(** The table names, in the order {!run_all} runs them ("t1" .. "t17"). *)
+val table_names : string list
 
 (** [run_all ~quick ()] — every table, in order, each net-driving table
-    guarded by {!monitored}.  [?trace] streams all of them into one
-    JSONL sink (closed on return). *)
+    under its invariant monitors ({!standard_monitors}, or only the
+    corruption budget for the deliberately faulted T16 and attacked
+    T17); a violation prints the violation table and raises [Failure].
+    [?trace] streams all of them into one JSONL sink (closed on
+    return). *)
 val run_all : ?quick:bool -> ?trace:Ks_monitor.Trace.sink -> unit -> unit
+
+(** [run_table name] — the full-size entry [name] of {!run_all}, alone,
+    under the same monitors (T1, T2 and T10 collect their own scaling
+    runs).  Raises [Invalid_argument] on a name not in {!table_names}. *)
+val run_table : ?trace:Ks_monitor.Trace.sink -> string -> unit

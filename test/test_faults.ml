@@ -15,10 +15,16 @@ let plan s =
 
 let envelope src dst payload = { Types.src; dst; payload }
 
+(* Nets pick up the hub and the fault plan in scope when they are
+   created, so the optional ones only need to wrap the creation. *)
+let within install x f = match x with None -> f () | Some x -> install x f
+
 let mk_net ?faults ?hub ?(n = 8) ?(budget = 0) () =
-  Net.create ?hub ?faults ~seed:5L ~n ~budget
-    ~msg_bits:(fun (_ : int) -> 4)
-    ~strategy:Adversary.none ()
+  within Ks_monitor.Hub.with_ambient hub (fun () ->
+      within Plan.with_plan faults (fun () ->
+          Net.create ~seed:5L ~n ~budget
+            ~msg_bits:(fun (_ : int) -> 4)
+            ~strategy:Adversary.none ()))
 
 (* All-to-all traffic for [rounds] rounds; returns the inbox counts of
    the last round. *)
@@ -74,26 +80,19 @@ let test_trivial_plan_no_injector () =
 
 (* --- Pay for what you use: a trivial plan is bit-identical to none. --- *)
 
-let trace_of ?faults ?ambient_plan () =
+let trace_of ?faults () =
   let sink = Ks_monitor.Trace.ring ~capacity:4096 in
   let hub = Ks_monitor.Hub.create ~trace:sink ~close_trace:false [] in
-  let go () =
-    let net = mk_net ?faults ~hub ~n:6 () in
-    ignore (drive net ~n:6 ~rounds:3);
-    Net.emit_meter net
-  in
-  (match ambient_plan with
-   | Some p -> Plan.with_plan p go
-   | None -> go ());
+  let net = mk_net ?faults ~hub ~n:6 () in
+  ignore (drive net ~n:6 ~rounds:3);
+  Net.emit_meter net;
   ignore (Ks_monitor.Hub.finish hub);
   Ks_monitor.Trace.render (Ks_monitor.Trace.contents sink)
 
 let test_empty_plan_identical () =
   let bare = trace_of () in
-  Alcotest.(check string) "explicit trivial plan"
-    bare (trace_of ~faults:Plan.none ());
   Alcotest.(check string) "ambient trivial plan"
-    bare (trace_of ~ambient_plan:Plan.none ());
+    bare (trace_of ~faults:Plan.none ());
   Alcotest.(check bool) "trace non-empty" true (String.length bare > 0)
 
 let test_faulted_trace_deterministic () =
@@ -261,9 +260,10 @@ let test_comm_retries_observable () =
 (* --- Async net: in-flight faults at enqueue --- *)
 
 let mk_async ?faults () =
-  Ks_async.Async_net.create ?faults ~seed:5L ~n:4 ~corrupt:[]
-    ~msg_bits:(fun (_ : int) -> 4)
-    ~scheduler:Ks_async.Async_net.Fair ()
+  within Plan.with_plan faults (fun () ->
+      Ks_async.Async_net.create ~seed:5L ~n:4 ~corrupt:[]
+        ~msg_bits:(fun (_ : int) -> 4)
+        ~scheduler:Ks_async.Async_net.Fair ())
 
 let test_async_drop_and_dup () =
   let dropped = mk_async ~faults:(plan "drop=1") () in

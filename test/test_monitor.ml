@@ -90,9 +90,14 @@ let ring_protocol ~n =
         ((), [ { src = me; dst = (me + 1) mod n; payload = 8 } ]));
   }
 
+(* A net reports to the hub in scope when it is created, so [?hub] only
+   needs to wrap the creation. *)
 let mk_net ?hub ?label ?(n = 8) ?(budget = 0) ?(strategy = Ks_sim.Adversary.none)
     ?(seed = 11L) () =
-  Ks_sim.Net.create ?hub ?label ~seed ~n ~budget ~msg_bits:(fun b -> b) ~strategy ()
+  let create () =
+    Ks_sim.Net.create ?label ~seed ~n ~budget ~msg_bits:(fun b -> b) ~strategy ()
+  in
+  match hub with None -> create () | Some h -> Hub.with_ambient h create
 
 (* --- Trace replay vs the meter (the acceptance cross-check) ---------- *)
 
@@ -305,18 +310,6 @@ let test_termination_fires () =
   Alcotest.(check (list string)) "fires" [ "termination" ] (invariants vs);
   Alcotest.(check int) "two procs never decided" 2 (List.length vs)
 
-let test_engine_installs_monitors () =
-  (* The [?monitors] path through Engine.run, without an ambient hub. *)
-  let net = mk_net ~n:4 () in
-  ignore
-    (Ks_sim.Engine.run net (ring_protocol ~n:4) ~rounds:6
-       ~monitors:[ Monitor.round_bound ~bound:(fun ~n:_ -> 3.0) () ]);
-  match Ks_sim.Net.hub net with
-  | None -> Alcotest.fail "Engine.run did not attach a hub"
-  | Some hub ->
-    Alcotest.(check (list string)) "fires" [ "round-bound" ]
-      (invariants (Hub.finish hub))
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -409,8 +402,6 @@ let () =
             test_bit_budget_label_scoped;
           Alcotest.test_case "round bound fires" `Quick test_round_bound_fires;
           Alcotest.test_case "termination fires" `Quick test_termination_fires;
-          Alcotest.test_case "engine installs monitors" `Quick
-            test_engine_installs_monitors;
           Alcotest.test_case "violation table renders" `Quick
             test_violation_report_renders;
         ] );
