@@ -230,6 +230,22 @@ end
 
 type kernel_result = { name : string; ns_per_op : float; words_per_op : float }
 
+(* Minor-heap words allocated per call: the median over five batches of
+   [Gc.minor_words] deltas.  (Bechamel's [minor_allocated] instance reads
+   0 for every kernel here.) *)
+let words_per_op fn =
+  let batch = 32 in
+  let once () =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to batch do
+      fn ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int batch
+  in
+  let ws = Array.init 5 (fun _ -> once ()) in
+  Array.sort Float.compare ws;
+  ws.(2)
+
 let measure_kernels ~quick =
   let open Bechamel in
   let open Toolkit in
@@ -240,20 +256,13 @@ let measure_kernels ~quick =
     (fun (name, fn) ->
       let test = Test.make ~name (Staged.stage fn) in
       let elt = List.hd (Test.elements test) in
-      let raw = Benchmark.run cfg Instance.[ minor_allocated; monotonic_clock ] elt in
-      let est instance =
-        let ols = Analyze.one analysis instance raw in
-        match Analyze.OLS.estimates ols with
+      let raw = Benchmark.run cfg Instance.[ monotonic_clock ] elt in
+      let ns_per_op =
+        match Analyze.OLS.estimates (Analyze.one analysis Instance.monotonic_clock raw) with
         | Some (v :: _) -> v
         | Some [] | None -> Float.nan
       in
-      let r =
-        {
-          name;
-          ns_per_op = est Instance.monotonic_clock;
-          words_per_op = est Instance.minor_allocated;
-        }
-      in
+      let r = { name; ns_per_op; words_per_op = words_per_op fn } in
       Printf.printf "%-32s %12.0f ns/op %12.0f w/op\n%!" r.name r.ns_per_op
         r.words_per_op;
       r)

@@ -60,70 +60,74 @@ module Make (F : Ks_field.Field_intf.S) = struct
 
   (* Berlekamp–Welch: find E monic of degree e and Q of degree <= t + e
      with Q(x_i) = y_i * E(x_i) for all i; then the message polynomial is
-     Q / E.  We iterate e downward from its maximum until a consistent
-     system yields a divisible pair that matches enough points. *)
+     Q / E.  One solve, at e = e_max = (m - k) / 2, decides for every e:
+
+     - Let a codeword g lie within distance t <= e_max of the points.  At
+       e = e_max every solution of the key equation has Q = g·E: Q - g·E
+       has degree <= k - 1 + e_max and vanishes at the m - t matching
+       points, and m - t - (k - 1) > e_max because 2·e_max <= m - k.  A
+       solution exists (E vanishing on the errors), so the single solve
+       returns g.
+     - Any polynomial a smaller e could accept has at least m - e_max
+       matches (the acceptance test below demands that many at every e),
+       so it is such a g.
+     - So a failure at e_max proves that every smaller e fails too, and
+       a success returns what a downward search from e_max would. *)
   let berlekamp_welch_poly ~threshold pts =
     let m = Array.length pts in
     let k = threshold + 1 in
     if m < k then None
     else begin
-      let e_max = (m - k) / 2 in
+      let e = (m - k) / 2 in
       let matches poly =
         Array.fold_left
           (fun acc (x, y) -> if F.equal (P.eval poly x) y then acc + 1 else acc)
           0 pts
       in
-      let try_e e =
-        (* Unknowns: q_0..q_{k-1+e}, e_0..e_{e-1}; E = X^e + sum e_j X^j.
-           Rows are built with running powers — per-entry [F.pow] would
-           redo a square-and-multiply ladder for every cell. *)
-        let nq = k + e in
-        let ncols = nq + e in
-        let a =
-          Array.init m (fun i ->
-              let x, y = pts.(i) in
-              let row = Array.make ncols F.zero in
-              let xp = ref F.one in
-              for c = 0 to nq - 1 do
-                row.(c) <- !xp;
-                xp := F.mul !xp x
-              done;
-              let xp = ref F.one in
-              for c = nq to ncols - 1 do
-                row.(c) <- F.neg (F.mul y !xp);
-                xp := F.mul !xp x
-              done;
-              row)
-        in
-        let b =
-          Array.init m (fun i ->
-              let x, y = pts.(i) in
-              F.mul y (F.pow x e))
-        in
-        match L.solve a b with
-        | None -> None
-        | Some sol ->
-          let q = P.of_coeffs (Array.sub sol 0 nq) in
-          let e_coeffs = Array.append (Array.sub sol nq e) [| F.one |] in
-          let err = P.of_coeffs e_coeffs in
-          let quot, rem = P.divmod q err in
-          if P.degree rem >= 0 then None
-          else if P.degree quot > threshold then None
-          else if
-            (* Accept only with at least one redundant matching point:
-               k points always fit a degree-(k-1) polynomial, so an
-               exactly-k fit carries no evidence.  Rejecting it turns
-               undetectable corruption into an erasure, which the
-               protocol's majority layers absorb. *)
-            matches quot >= Stdlib.max (k + 1) (m - e_max)
-          then Some quot
-          else None
+      (* Unknowns: q_0..q_{k-1+e}, e_0..e_{e-1}; E = X^e + sum e_j X^j.
+         Rows are built with running powers — per-entry [F.pow] would
+         redo a square-and-multiply ladder for every cell. *)
+      let nq = k + e in
+      let ncols = nq + e in
+      let a =
+        Array.init m (fun i ->
+            let x, y = pts.(i) in
+            let row = Array.make ncols F.zero in
+            let xp = ref F.one in
+            for c = 0 to nq - 1 do
+              row.(c) <- !xp;
+              xp := F.mul !xp x
+            done;
+            let xp = ref F.one in
+            for c = nq to ncols - 1 do
+              row.(c) <- F.neg (F.mul y !xp);
+              xp := F.mul !xp x
+            done;
+            row)
       in
-      let rec search e =
-        if e < 0 then None
-        else match try_e e with Some p -> Some p | None -> search (e - 1)
+      let b =
+        Array.init m (fun i ->
+            let x, y = pts.(i) in
+            F.mul y (F.pow x e))
       in
-      search e_max
+      match L.solve a b with
+      | None -> None
+      | Some sol ->
+        let q = P.of_coeffs (Array.sub sol 0 nq) in
+        let e_coeffs = Array.append (Array.sub sol nq e) [| F.one |] in
+        let err = P.of_coeffs e_coeffs in
+        let quot, rem = P.divmod q err in
+        if P.degree rem >= 0 then None
+        else if P.degree quot > threshold then None
+        else if
+          (* Accept only with at least one redundant matching point:
+             k points always fit a degree-(k-1) polynomial, so an
+             exactly-k fit carries no evidence.  Rejecting it turns
+             undetectable corruption into an erasure, which the
+             protocol's majority layers absorb. *)
+          matches quot >= Stdlib.max (k + 1) (m - e)
+        then Some quot
+        else None
     end
 
   (* Maximum-likelihood list decoding: gather candidate polynomials from
@@ -138,9 +142,8 @@ module Make (F : Ks_field.Field_intf.S) = struct
 
      The accepted codeword is returned as an evaluation closure rather
      than a coefficient vector: every caller only ever evaluates it (at
-     zero, or at the holder points), and the winning window's barycentric
-     evaluator is already in hand when the decision falls — interpolating
-     coefficients would redo that work with k extra inversions. *)
+     zero, or at the holder points), so only the accepted window's
+     barycentric evaluator is ever built. *)
   let best_codeword ~threshold pts =
     let m = Array.length pts in
     let k = threshold + 1 in
@@ -156,7 +159,7 @@ module Make (F : Ks_field.Field_intf.S) = struct
       let radius_accept = Stdlib.max (k + 1) (m - e_max) in
       let support_of eval =
         let mask = ref 0 and count = ref 0 in
-      for p = 0 to m - 1 do
+        for p = 0 to m - 1 do
           let x, y = pts.(p) in
           if F.equal (eval x) y then begin
             mask := !mask lor (1 lsl p);
@@ -164,6 +167,70 @@ module Make (F : Ks_field.Field_intf.S) = struct
           end
         done;
         (!mask, !count)
+      in
+      (* inv.(i * m + j) = 1 / (x_i - x_j) for i <> j: one batch inversion
+         over the upper triangle; the lower triangle is its negation. *)
+      let inv =
+        let diffs = Array.make (m * (m - 1) / 2) F.one in
+        let c = ref 0 in
+        for i = 0 to m - 1 do
+          for j = i + 1 to m - 1 do
+            diffs.(!c) <- F.sub (fst pts.(i)) (fst pts.(j));
+            incr c
+          done
+        done;
+        let invs = P.batch_inv diffs in
+        let inv = Array.make (m * m) F.zero in
+        let c = ref 0 in
+        for i = 0 to m - 1 do
+          for j = i + 1 to m - 1 do
+            inv.((i * m) + j) <- invs.(!c);
+            inv.((j * m) + i) <- F.neg invs.(!c);
+            incr c
+          done
+        done;
+        inv
+      in
+      (* Support of the polynomial f through window W (indices [idx], mask
+         [wmask]), by the divided-difference test: with
+         c_a = y_a · Π_{b≠a} inv(x_a − x_b), f(x_p) = y_p exactly when
+         Σ_a c_a · inv(x_p − x_a) = y_p · Π_a inv(x_p − x_a).  The points
+         of W lie on f by construction, so only points outside W are
+         tested — no inversion, no evaluator, O(k) per point. *)
+      let idx = Array.make k 0 and cs = Array.make k F.zero in
+      let score_window wmask =
+        for a = 0 to k - 1 do
+          let row = idx.(a) * m in
+          let c = ref (snd pts.(idx.(a))) in
+          for b = 0 to k - 1 do
+            if b <> a then c := F.mul !c inv.(row + idx.(b))
+          done;
+          cs.(a) <- !c
+        done;
+        let mask = ref wmask and count = ref k in
+        for p = 0 to m - 1 do
+          if wmask land (1 lsl p) = 0 then begin
+            let row = p * m in
+            let sum = ref F.zero and prod = ref F.one in
+            for a = 0 to k - 1 do
+              let v = inv.(row + idx.(a)) in
+              sum := F.add !sum (F.mul cs.(a) v);
+              prod := F.mul !prod v
+            done;
+            if F.equal !sum (F.mul (snd pts.(p)) !prod) then begin
+              mask := !mask lor (1 lsl p);
+              incr count
+            end
+          end
+        done;
+        (!mask, !count)
+      in
+      let evaluator_of_mask mask =
+        (* The codeword through the first k points of a support set. *)
+        let pts_of_mask =
+          List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list pts)
+        in
+        P.evaluator (List.filteri (fun i _ -> i < k) pts_of_mask)
       in
       (* Candidate subsets: cyclic windows at several strides — each is
          clean (error-free) with decent probability when errors are
@@ -178,45 +245,14 @@ module Make (F : Ks_field.Field_intf.S) = struct
          points identifies a codeword uniquely). *)
       let best = ref (0, 0) and second_count = ref 0 in
       let winner = ref None in
-      let eval_of_subset idx =
-        (* Lagrange through the window, in barycentric form: weights with
-           one batch inversion up front, then O(k) multiplications per
-           evaluation via prefix/suffix hole products (no division). *)
-        let sub_xs = Array.map (fun i -> fst pts.(i)) idx in
-        let denoms =
-          Array.mapi
-            (fun a xa ->
-              let d = ref F.one in
-              Array.iteri
-                (fun b xb -> if b <> a then d := F.mul !d (F.sub xa xb))
-                sub_xs;
-              !d)
-            sub_xs
-        in
-        let inv_denoms = P.batch_inv denoms in
-        let cs = Array.mapi (fun a i -> F.mul (snd pts.(i)) inv_denoms.(a)) idx in
-        let prefix = Array.make (k + 1) F.one in
-        fun x ->
-          for a = 0 to k - 1 do
-            prefix.(a + 1) <- F.mul prefix.(a) (F.sub x sub_xs.(a))
-          done;
-          let acc = ref F.zero in
-          let suffix = ref F.one in
-          for a = k - 1 downto 0 do
-            acc := F.add !acc (F.mul cs.(a) (F.mul prefix.(a) !suffix));
-            suffix := F.mul !suffix (F.sub x sub_xs.(a))
-          done;
-          !acc
-      in
       (* Support masks of codewords already scored.  A window lying wholly
          inside a scored codeword's support interpolates that very
          codeword (k points pin a degree-(k-1) polynomial), and re-scoring
-         a codeword never changes the best/second tracking — so skip the
-         whole derivation.  Distinct strides rediscover the same windows
-         constantly, which made this the dominant cost.  Windows are
-         generated lazily, stride by stride in scan order: the mask check
-         runs before the index array is even materialised, and an
-         in-radius acceptance stops the sweep immediately. *)
+         a codeword never changes the best/second tracking — so skip it.
+         Distinct strides rediscover the same windows constantly.  Windows
+         are generated lazily, stride by stride in scan order: the mask
+         check runs before the window is scored, and an in-radius
+         acceptance stops the sweep immediately. *)
       let seen = ref [] in
       let stopped = ref false in
       List.iter
@@ -229,11 +265,12 @@ module Make (F : Ks_field.Field_intf.S) = struct
             done;
             let wmask = !wmask in
             if not (List.exists (fun msk -> msk lor wmask = msk) !seen) then begin
-              let idx = Array.init k (fun j -> (!start + (j * s)) mod m) in
-              let eval = eval_of_subset idx in
-              let mask, count = support_of eval in
+              for j = 0 to k - 1 do
+                idx.(j) <- (!start + (j * s)) mod m
+              done;
+              let mask, count = score_window wmask in
               if count >= radius_accept then begin
-                winner := Some eval;
+                winner := Some mask;
                 stopped := true
               end
               else begin
@@ -252,7 +289,7 @@ module Make (F : Ks_field.Field_intf.S) = struct
           done)
         strides;
       match !winner with
-      | Some eval -> Some eval
+      | Some mask -> Some (evaluator_of_mask mask)
       | None ->
         (* Berlekamp–Welch as a last candidate, then the tie rule. *)
         let bw = berlekamp_welch_poly ~threshold pts in
@@ -268,15 +305,8 @@ module Make (F : Ks_field.Field_intf.S) = struct
          | Some (poly, mask, count) when mask <> bmask && count > bcount ->
            if count >= k + 1 && count > bcount then Some (P.eval poly) else None
          | _ ->
-           if bcount >= k + 1 && bcount > !second_count then begin
-             (* Rebuild the best window's codeword from its support. *)
-             let pts_of_mask =
-               List.filteri (fun i _ -> bmask land (1 lsl i) <> 0)
-                 (Array.to_list pts)
-             in
-             let chosen = List.filteri (fun i _ -> i < k) pts_of_mask in
-             Some (P.evaluator chosen)
-           end
+           if bcount >= k + 1 && bcount > !second_count then
+             Some (evaluator_of_mask bmask)
            else None)
     end
 
@@ -381,10 +411,15 @@ module Make (F : Ks_field.Field_intf.S) = struct
              support checks: O(k) per point instead of a fresh O(k²)
              Lagrange sum with per-term divisions. *)
           let eval_first_k = P.evaluator first_k in
-          let unanimous =
-            Array.for_all (fun (x, y) -> F.equal (eval_first_k x) y) probe_pts
+          (* The first k points lie on their own interpolant: probe the
+             rest. *)
+          let rec unanimous p =
+            p >= m
+            ||
+            let x, y = probe_pts.(p) in
+            F.equal (eval_first_k x) y && unanimous (p + 1)
           in
-          if unanimous then Some (Array.init m (fun i -> i))
+          if unanimous k then Some (Array.init m (fun i -> i))
           else
             match best_codeword ~threshold probe_pts with
             | None -> None

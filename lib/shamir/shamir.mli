@@ -16,7 +16,18 @@
     [reconstruct_robust] is a Reed–Solomon decoder (Berlekamp–Welch) that
     tolerates up to [(m - t - 1) / 2] corrupted shares out of [m] — this
     is what lets a good node with a < 1/3 corrupt membership still recover
-    a secret during [sendDown]. *)
+    a secret during [sendDown].
+
+    The robust decoder is a maximum-likelihood list decoder: candidate
+    codewords come from strided windows of [t + 1] shares, each scored by
+    how many other shares it explains, plus one Berlekamp–Welch solve at
+    the maximum error count (a failure there proves every smaller error
+    count fails too).  Windows are scored from one table of inverse
+    differences [1 / (x_i - x_j)] per decode, with no per-window
+    inversion; only the accepted codeword gets an evaluator.  It accepts
+    the uniquely best-supported codeword with at least [t + 2] supporters,
+    answers [None] on a tie, and so decodes well past the classical
+    radius when corruption is uncoordinated. *)
 
 module Make (F : Ks_field.Field_intf.S) : sig
   type share = { index : int; value : F.t }

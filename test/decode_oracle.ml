@@ -10,6 +10,13 @@
    against.  Do not "optimize" this file; its value is that it never
    changed. *)
 
+(* The vector decoder at the end of this module is `reconstruct_vectors`
+   (with `weights_at_zero`) as it stood before the robust decoder scored
+   its windows from one inverse-difference table and solved
+   Berlekamp–Welch once, copied verbatim.  It calls `best_codeword` for
+   an evaluation closure, so it runs on top of the reference decoder
+   above through a one-line adapter. *)
+
 module Make (F : Ks_field.Field_intf.S) = struct
   module P = Ks_field.Poly.Make (F)
   module L = Ks_field.Linalg.Make (F)
@@ -204,4 +211,153 @@ module Make (F : Ks_field.Field_intf.S) = struct
     let shares = dedup shares in
     let pts = Array.of_list (List.map (fun s -> (point s.Sh.index, s.Sh.value)) shares) in
     Option.map (fun p -> P.eval p F.zero) (best_codeword ~threshold pts)
+
+  (* The copied vector decoder wants [best_codeword] to return an
+     evaluation closure; the reference one returns coefficients. *)
+  let best_codeword ~threshold pts =
+    Option.map P.eval (best_codeword ~threshold pts)
+
+  (* Lagrange coefficients at zero for a point set given as x-indices,
+     with the k divisions collapsed into one batch inversion.  These
+     weights are computed once per verification subset and reused for
+     every word of the vector. *)
+  let weights_at_zero xs =
+    let nums = Array.make (Array.length xs) F.one in
+    let denoms = Array.make (Array.length xs) F.one in
+    Array.iteri
+      (fun i xi ->
+        let pi = point xi in
+        let num = ref F.one and denom = ref F.one in
+        Array.iteri
+          (fun j xj ->
+            if i <> j then begin
+              let pj = point xj in
+              num := F.mul !num pj;
+              denom := F.mul !denom (F.sub pj pi)
+            end)
+          xs;
+        nums.(i) <- !num;
+        denoms.(i) <- !denom)
+      xs;
+    let inv_denoms = P.batch_inv denoms in
+    Array.mapi (fun i num -> F.mul num inv_denoms.(i)) nums
+
+  let reconstruct_vectors ~threshold holders =
+    let holders =
+      if List.for_all (fun (x, _) -> x >= 0 && x < 63) holders then begin
+        let seen = ref 0 in
+        List.filter
+          (fun (x, _) ->
+            let bit = 1 lsl x in
+            if !seen land bit <> 0 then false
+            else begin
+              seen := !seen lor bit;
+              true
+            end)
+          holders
+      end
+      else begin
+        let seen = Hashtbl.create 16 in
+        List.filter
+          (fun (x, _) ->
+            if Hashtbl.mem seen x then false
+            else begin
+              Hashtbl.add seen x ();
+              true
+            end)
+          holders
+      end
+    in
+    let m = List.length holders in
+    let k = threshold + 1 in
+    (* m = k would be vacuously consistent (see berlekamp_welch_poly);
+       demand one redundant holder. *)
+    if m < k + 1 then None
+    else begin
+      let words =
+        match holders with (_, v) :: _ -> Array.length v | [] -> 0
+      in
+      if List.exists (fun (_, v) -> Array.length v <> words) holders then
+        invalid_arg "Shamir.reconstruct_vectors: ragged vectors";
+      if words = 0 then Some [||]
+      else begin
+        let xs = Array.of_list (List.map fst holders) in
+        let vs = Array.of_list (List.map snd holders) in
+        let probe_pts = Array.map2 (fun x v -> (point x, v.(0))) xs vs in
+        (* Identify the honest holders once, on the probe word: fast path
+           interpolates through the first k and hopes for unanimity; the
+           slow path decodes the probe with Berlekamp–Welch. *)
+        let honest =
+          let first_k = Array.to_list (Array.sub probe_pts 0 k) in
+          (* One evaluator for the probe subset, shared across all m
+             support checks: O(k) per point instead of a fresh O(k²)
+             Lagrange sum with per-term divisions. *)
+          let eval_first_k = P.evaluator first_k in
+          let unanimous =
+            Array.for_all (fun (x, y) -> F.equal (eval_first_k x) y) probe_pts
+          in
+          if unanimous then Some (Array.init m (fun i -> i))
+          else
+            match best_codeword ~threshold probe_pts with
+            | None -> None
+            | Some eval ->
+              let fit = ref [] in
+              Array.iteri
+                (fun i (x, y) -> if F.equal (eval x) y then fit := i :: !fit)
+                probe_pts;
+              Some (Array.of_list (List.rev !fit))
+        in
+        match honest with
+        | None -> None
+        | Some fit when Array.length fit < k -> None
+        | Some fit ->
+          (* Two verification subsets: a holder lying only on later words
+             is caught when the subsets disagree, triggering a per-word
+             Berlekamp–Welch decode. *)
+          let nfit = Array.length fit in
+          let sub_a = Array.sub fit 0 k in
+          let sub_b = Array.sub fit (nfit - k) k in
+          let xs_of sub = Array.map (fun i -> xs.(i)) sub in
+          let same_subsets = nfit = k in
+          let w_a = weights_at_zero (xs_of sub_a) in
+          (* The second subset only matters when it differs from the
+             first; its weights go unused otherwise. *)
+          let w_b = if same_subsets then w_a else weights_at_zero (xs_of sub_b) in
+          (* Weighted sum straight out of the holder vectors — no per-word
+             value array. *)
+          let dot_sub weights sub w =
+            let acc = ref F.zero in
+            for i = 0 to k - 1 do
+              acc := F.add !acc (F.mul weights.(i) vs.(sub.(i)).(w))
+            done;
+            !acc
+          in
+          let out = Array.make words F.zero in
+          let ok = ref true in
+          for w = 0 to words - 1 do
+            if !ok then begin
+              let va = dot_sub w_a sub_a w in
+              let agreed = same_subsets || F.equal va (dot_sub w_b sub_b w) in
+              if agreed then out.(w) <- va
+              else begin
+                let pts = Array.map2 (fun x v -> (point x, v.(w))) xs vs in
+                match best_codeword ~threshold pts with
+                | Some eval -> out.(w) <- eval F.zero
+                | None -> ok := false
+              end
+            end
+          done;
+          if !ok then Some out else None
+      end
+    end
+
+  (* Detection hook for graceful degradation: callers that can retry or
+     report (Ks_core.Comm, the fault experiments) count failed decodes
+     where they happen instead of silently losing them. *)
+  let reconstruct_vectors ?failures ~threshold holders =
+    match reconstruct_vectors ~threshold holders with
+    | Some _ as s -> s
+    | None ->
+      (match failures with Some r -> incr r | None -> ());
+      None
 end

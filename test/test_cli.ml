@@ -174,6 +174,32 @@ let test_bench_unknown_flag () =
     (run (bench ^ " --enforce-baseline"))
     ~expect_code:2
 
+(* ks-bench/1's words_per_op counts minor-heap words per call: the
+   Lagrange kernel allocates its evaluator on every call, while chained
+   Zp multiplication on immediate ints allocates nothing. *)
+let test_bench_json_words () =
+  let json = Filename.temp_file "ks_bench" ".json" in
+  let code, _, _ = run (bench ^ " --quick --json " ^ json) in
+  Alcotest.(check int) "bench --quick --json exits 0" 0 code;
+  let ic = open_in_bin json in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove json;
+  let words_of kernel =
+    let line =
+      List.find
+        (fun l -> contains l (Printf.sprintf "\"name\": %S" kernel))
+        (String.split_on_char '\n' text)
+    in
+    Scanf.sscanf
+      (String.sub line (String.index line ',') (String.length line - String.index line ','))
+      ", \"ns_per_op\": %f, \"words_per_op\": %f" (fun _ w -> w)
+  in
+  Alcotest.(check bool) "Lagrange kernel allocates" true
+    (words_of "poly/lagrange_eval_k12_x16" > 0.0);
+  Alcotest.(check (float 0.0)) "Zp multiplication allocates nothing" 0.0
+    (words_of "field/zp_mul_256")
+
 let test_ks_lint_cli () =
   check_usage "ks_lint unknown option" (run (ks_lint ^ " --bogus")) ~expect_code:2;
   let code, _, err = run (ks_lint ^ " no-such-dir") in
@@ -227,7 +253,10 @@ let () =
           Alcotest.test_case "ae verdict" `Quick test_ba_sim_ae_verdict;
         ] );
       ( "bench",
-        [ Alcotest.test_case "unknown flag" `Quick test_bench_unknown_flag ] );
+        [
+          Alcotest.test_case "unknown flag" `Quick test_bench_unknown_flag;
+          Alcotest.test_case "json words per op" `Quick test_bench_json_words;
+        ] );
       ( "ks_lint",
         [
           Alcotest.test_case "flags" `Quick test_ks_lint_cli;

@@ -159,6 +159,54 @@ let test_open_crash_20 () =
 let test_open_garbage_25 () =
   open_and_check ~n:64 ~budget:16 ~behavior:Comm.Garbage ~expect_all:false
 
+(* The flood regime's decode path, pinned: the shape of the benchmark's
+   [comm.*.garbage] probe (n = 64, the byzantine-static preset's 25%
+   Garbage dealers) runs deal_all, reshare_up and one election's
+   open_ranges_view on the first level-2 node.  The decode-failure count
+   and a digest of every opened view are constants: a decoder change
+   that moves any verdict or opened value moves them. *)
+let test_flood_decode_pinned () =
+  let module Attacks = Ks_workload.Attacks in
+  let module Layout = Ks_core.Ae_ba.Layout in
+  let n = 64 in
+  let scenario = Attacks.byzantine_static in
+  let params = Params.practical n in
+  let tree = Tree.build (Prng.create 31L) (Params.tree_config params) in
+  let comm =
+    Comm.create ~params ~tree ~seed:11L ~behavior:scenario.Attacks.behavior
+      ~strategy:(Attacks.generic_strategy scenario ~params)
+      ~budget:(Attacks.budget_of scenario ~params) ()
+  in
+  let layout = Layout.make params tree in
+  let rng = Prng.create 12L in
+  let arrays =
+    Array.init n (fun _ ->
+        Array.init layout.Layout.total (fun _ -> Ks_field.Zp.random rng))
+  in
+  Comm.deal_all comm ~arrays;
+  Comm.reshare_up comm ~cands:(List.init n (fun c -> c)) ~drop:[];
+  let cands = Tree.children tree ~level:2 ~node:0 in
+  let view =
+    Comm.open_ranges_view comm ~level:2
+      ~ranges:(List.map (fun c -> (c, layout.Layout.block_off.(2), 1)) cands)
+  in
+  let buf = Buffer.create 4096 and opened = ref 0 in
+  List.iter
+    (fun cand ->
+      for member = 0 to Tree.node_size tree ~level:2 - 1 do
+        match view ~cand ~member with
+        | None -> Buffer.add_string buf "-;"
+        | Some ws ->
+          incr opened;
+          Array.iter (fun w -> Buffer.add_string buf (string_of_int w ^ ",")) ws;
+          Buffer.add_char buf ';'
+      done)
+    cands;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  Alcotest.(check int) "decode failures" 332 (Comm.decode_failures comm);
+  Alcotest.(check int) "opened views" 120 !opened;
+  Alcotest.(check string) "opened views digest" "191e4b233df41d924b99eaba64f39c94" digest
+
 let test_secrecy_before_open () =
   (* Lemma 3(1): until a secret is sent down, an adversary holding every
      share visible to < 1/3 of each node learns nothing.  We check the
@@ -276,5 +324,7 @@ let () =
           Alcotest.test_case "honest" `Slow test_open_honest;
           Alcotest.test_case "crash 20%" `Slow test_open_crash_20;
           Alcotest.test_case "garbage 25%" `Slow test_open_garbage_25;
+          Alcotest.test_case "flood decode verdicts pinned" `Quick
+            test_flood_decode_pinned;
         ] );
     ]

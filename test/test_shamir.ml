@@ -331,7 +331,7 @@ let prop_robust_equiv_oracle_zp =
      the optimized and reference decoders must agree on every verdict —
      recovered value, wrong-but-identical value, or None. *)
   QCheck.Test.make ~name:"optimized robust decode == reference oracle (Z_p)"
-    ~count:120
+    ~count:120 ~long_factor:20
     QCheck.(triple small_nat small_nat small_nat)
     (fun (a, b, c) ->
       let rng = Prng.create (Int64.of_int ((a * 92821) + (b * 613) + c + 1)) in
@@ -348,7 +348,7 @@ let prop_robust_equiv_oracle_zp =
 
 let prop_robust_equiv_oracle_gf256 =
   QCheck.Test.make ~name:"optimized robust decode == reference oracle (GF(256))"
-    ~count:120
+    ~count:120 ~long_factor:20
     QCheck.(triple small_nat small_nat small_nat)
     (fun (a, b, c) ->
       let rng = Prng.create (Int64.of_int ((a * 48611) + (b * 769) + c + 1)) in
@@ -365,7 +365,7 @@ let prop_robust_equiv_oracle_gf256 =
 
 let prop_lagrange_eval_equiv_oracle =
   QCheck.Test.make ~name:"Poly.lagrange_eval == reference oracle (both fields)"
-    ~count:100
+    ~count:100 ~long_factor:20
     QCheck.(pair small_nat small_nat)
     (fun (a, b) ->
       let rng = Prng.create (Int64.of_int ((a * 31337) + b + 1)) in
@@ -376,6 +376,77 @@ let prop_lagrange_eval_equiv_oracle =
       let xg = Gf.random rng in
       Zp.equal (Pz.lagrange_eval ptsz xz) (OracleZ.lagrange_eval ptsz xz)
       && Gf.equal (Pg.lagrange_eval ptsg xg) (OracleG.lagrange_eval ptsg xg))
+
+(* Vector decode against the reference vector decoder, at the shapes
+   [Comm] decodes: k in {4, 6}, m from k + 1 to 16 holders in shuffled
+   order, up to m - k wholly garbage holders plus word-targeted lies by
+   holders that are honest on the probe word.  Verdict, every word and
+   the failure count must match. *)
+module Vectors_equiv (F : Ks_field.Field_intf.S) = struct
+  module S = Ks_shamir.Shamir.Make (F)
+  module O = Decode_oracle.Make (F)
+
+  let case (a, b, c, d) =
+    let rng = Prng.create (Int64.of_int ((a * 7877) + (b * 389) + (c * 17) + d + 1)) in
+    let k = if a mod 2 = 0 then 4 else 6 in
+    let threshold = k - 1 in
+    let m = k + 1 + (b mod (16 - k)) in
+    let words = 1 + (c mod 6) in
+    let xs = Prng.sample_without_replacement rng ~n:40 ~k:m in
+    let secret = Array.init words (fun _ -> F.random rng) in
+    let vs = S.deal_vector_at rng ~threshold ~xs secret in
+    let garbage = d mod (m - k + 1) in
+    let order = Prng.permutation rng m in
+    Array.iteri
+      (fun rank h ->
+        if rank < garbage then vs.(h) <- Array.map (fun _ -> F.random rng) vs.(h)
+        else if Prng.int rng 4 = 0 then begin
+          let w = Prng.int rng words in
+          vs.(h).(w) <- F.random rng
+        end)
+      order;
+    let holders = Array.init m (fun h -> (xs.(h), vs.(h))) in
+    Prng.shuffle rng holders;
+    let holders = Array.to_list holders in
+    let fs = ref 0 and fo = ref 0 in
+    let got = S.reconstruct_vectors ~failures:fs ~threshold holders in
+    let want = O.reconstruct_vectors ~failures:fo ~threshold holders in
+    !fs = !fo
+    && (match (got, want) with
+        | Some g, Some w -> Array.length g = Array.length w && Array.for_all2 F.equal g w
+        | None, None -> true
+        | _ -> false)
+end
+
+module Vectors_equiv_z = Vectors_equiv (Ks_field.Zp)
+module Vectors_equiv_g = Vectors_equiv (Ks_field.Gf256)
+
+let prop_vectors_equiv_oracle =
+  QCheck.Test.make ~name:"reconstruct_vectors == reference oracle (both fields)"
+    ~count:150 ~long_factor:20
+    QCheck.(quad small_nat small_nat small_nat small_nat)
+    (fun q -> Vectors_equiv_z.case q && Vectors_equiv_g.case q)
+
+let prop_robust_equiv_oracle_wide =
+  (* m in 63..80 exceeds the bitmask window scan: both decoders run
+     Berlekamp–Welch alone, which solves once at e_max where the
+     reference searches e downward.  Error weights straddle the radius:
+     at radius + 1 the reference's whole downward search runs. *)
+  QCheck.Test.make ~name:"robust decode, m in 63..80 == reference oracle (Z_p)"
+    ~count:12 ~long_factor:20
+    QCheck.(triple small_nat small_nat small_nat)
+    (fun (a, b, c) ->
+      let rng = Prng.create (Int64.of_int ((a * 70001) + (b * 919) + c + 1)) in
+      let holders = 63 + (a mod 18) in
+      let threshold = (holders - 1) / 2 in
+      let radius = (holders - threshold - 1) / 2 in
+      let errors = radius - 1 + (c mod 3) in
+      let secret = Zp.random rng in
+      let shares = Sh.deal rng ~threshold ~holders secret in
+      let bad = Array.to_list (corrupt_some rng shares ~count:errors) in
+      equal_opt Zp.equal
+        (Sh.reconstruct_robust ~threshold bad)
+        (OracleZ.reconstruct_robust ~threshold bad))
 
 let test_tie_yields_none_both_decoders () =
   (* threshold 1 (k = 2), m = 6: three shares on the zero line, three on
@@ -436,5 +507,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_robust_equiv_oracle_zp;
           QCheck_alcotest.to_alcotest prop_robust_equiv_oracle_gf256;
           QCheck_alcotest.to_alcotest prop_lagrange_eval_equiv_oracle;
+          QCheck_alcotest.to_alcotest prop_vectors_equiv_oracle;
+          QCheck_alcotest.to_alcotest prop_robust_equiv_oracle_wide;
         ] );
     ]
