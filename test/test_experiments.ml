@@ -51,22 +51,24 @@ let test_eclipse_targets_whole_leaves () =
 let test_creeping_spends_gradually () =
   let params = Params.practical 64 in
   let strategy = Attacks.generic_strategy Attacks.byzantine_adaptive ~params in
+  let want = Attacks.budget_of Attacks.byzantine_adaptive ~params in
+  let total = ref 0 in
+  (* The budget left falls with each pick, as [Net] computes it
+     (budget - corrupt_count): the schedule itself keeps no count. *)
   let view round =
     {
       Ks_sim.Types.view_round = round;
       view_n = 64;
       view_is_corrupt = (fun _ -> false);
       view_corrupt = [];
-      view_budget_left = 100;
+      view_budget_left = want - !total;
       view_visible = [];
       view_rng = Prng.create 9L;
     }
   in
-  let total = ref 0 in
   for round = 0 to 200 do
     total := !total + List.length (strategy.Ks_sim.Types.adapt (view round))
   done;
-  let want = Attacks.budget_of Attacks.byzantine_adaptive ~params in
   Alcotest.(check int) "spends exactly its budget" want !total
 
 let test_vote_flipper_echoes_minority () =
