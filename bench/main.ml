@@ -17,7 +17,6 @@
      ([--enforce-baseline] turns the flag into a non-zero exit). *)
 
 module Experiments = Ks_workload.Experiments
-module Attacks = Ks_workload.Attacks
 module Inputs = Ks_workload.Inputs
 module Run = Ks_workload.Run
 module Params = Ks_core.Params
@@ -28,8 +27,8 @@ module Prng = Ks_stdx.Prng
 let protocol_kernel p ~n ~scenario ~seed () =
   let params = Params.practical n in
   let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-  Run.run p ~params ~seed ~inputs ~adversary:(Attacks.adversary scenario)
-    ~budget:(Attacks.budget_of scenario ~params)
+  Run.run p ~params ~seed ~inputs ~adversary:scenario
+    ~budget:(Ks_attacks.budget_for scenario ~params ~fraction:0.25)
 
 let aeba_coin_kernel ~n ~seed () =
   let params = Params.practical n in
@@ -37,7 +36,7 @@ let aeba_coin_kernel ~n ~seed () =
   let inputs = Inputs.generate rng ~n Inputs.Split in
   Ks_core.Aeba_coin.run_standalone ~seed ~n ~degree:params.Params.aeba_degree
     ~rounds:8 ~epsilon:params.Params.epsilon ~budget:(n / 4) ~inputs
-    ~strategy:(Attacks.vote_flipper Attacks.byzantine_static ~params)
+    ~strategy:(Ks_attacks.byzantine_static.vote ~params)
     ~coin:Ks_core.Aeba_coin.Ideal ()
 
 let a2e_kernel ~n ~seed () =
@@ -64,14 +63,14 @@ let bechamel_tests =
   [
     Test.make ~name:"t1/t10: everywhere BA, n=32, 25% byz"
       (Staged.stage
-         (protocol_kernel Run.Everywhere ~n:32 ~scenario:Attacks.byzantine_static
+         (protocol_kernel Run.Everywhere ~n:32 ~scenario:Ks_attacks.byzantine_static
             ~seed:1L));
     Test.make ~name:"t2: rabin all-to-all, n=256"
       (Staged.stage
-         (protocol_kernel Run.Rabin ~n:256 ~scenario:Attacks.crash ~seed:1L));
+         (protocol_kernel Run.Rabin ~n:256 ~scenario:Ks_attacks.crash ~seed:1L));
     Test.make ~name:"t3: almost-everywhere BA, n=32"
       (Staged.stage
-         (protocol_kernel Run.Ae ~n:32 ~scenario:Attacks.byzantine_static
+         (protocol_kernel Run.Ae ~n:32 ~scenario:Ks_attacks.byzantine_static
             ~seed:2L));
     Test.make ~name:"t4: algorithm 5, n=256, 8 rounds"
       (Staged.stage (aeba_coin_kernel ~n:256 ~seed:3L));
@@ -89,7 +88,7 @@ let bechamel_tests =
            Ks_sampler.Sampler.create (Prng.create 7L) ~r:1024 ~s:1024 ~d:16));
     Test.make ~name:"t9: everywhere BA at the threshold, n=32, 33%"
       (Staged.stage
-         (protocol_kernel Run.Everywhere ~n:32 ~scenario:Attacks.byzantine_static
+         (protocol_kernel Run.Everywhere ~n:32 ~scenario:Ks_attacks.byzantine_static
             ~seed:8L));
   ]
 

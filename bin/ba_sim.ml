@@ -2,7 +2,7 @@
 
    Run one protocol at a chosen size, adversary and seed, and print the
    outcome and communication costs.  Every adversary comes from one
-   registry ([Attacks.registry]): the six scenario presets and the six
+   registry ([Ks_attacks.registry]): the six scenario presets and the six
    strategies of the attack library.  [--adversary] and [--attack] both
    name a registry entry ([--attack] wins when both are given); presets
    pick their own corruption count, attacks take [--corrupt].  Each
@@ -15,7 +15,6 @@
 *)
 
 module Params = Ks_core.Params
-module Attacks = Ks_workload.Attacks
 module Run = Ks_workload.Run
 module Inputs = Ks_workload.Inputs
 module Prng = Ks_stdx.Prng
@@ -152,10 +151,10 @@ let run_cmd verbose protocol n adversary attack fraction no_quarantine seed inpu
   let names show xs = String.concat ", " (List.map show xs) in
   let name = Option.value attack ~default:adversary in
   let* adversary =
-    Option.to_result (Attacks.find name)
+    Option.to_result (Ks_attacks.find name)
       ~none:
         (Printf.sprintf "unknown adversary %S (one of: %s; see --list-attacks)" name
-           (names (fun a -> a.Ks_attacks.name) Attacks.registry))
+           (names (fun a -> a.Ks_attacks.name) Ks_attacks.registry))
   in
   let* (Run.Any p) =
     Option.to_result
@@ -341,8 +340,10 @@ let cmds =
 let list_cmd list_attacks list_faults =
   if list_attacks then begin
     List.iter
-      (fun a -> Printf.printf "%-18s %s\n" a.Ks_attacks.name a.Ks_attacks.doc)
-      Ks_attacks.all;
+      (fun a ->
+        if Option.is_none a.Ks_attacks.preset then
+          Printf.printf "%-18s %s\n" a.Ks_attacks.name a.Ks_attacks.doc)
+      Ks_attacks.registry;
     `Ok 0
   end
   else if list_faults then begin

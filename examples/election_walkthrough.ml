@@ -13,7 +13,6 @@ module Tree = Ks_topology.Tree
 module Params = Ks_core.Params
 module Comm = Ks_core.Comm
 module Ae_ba = Ks_core.Ae_ba
-module Attacks = Ks_workload.Attacks
 module Prng = Ks_stdx.Prng
 
 let n = 32
@@ -63,11 +62,11 @@ let () =
      the original — taking over a whole lower node later reveals nothing)\n";
 
   Printf.printf "\n== One full tournament run (Figure 1, right) ==\n";
-  let scenario = Attacks.byzantine_static in
+  let adversary = Ks_attacks.byzantine_static in
   let inputs = Array.init n (fun i -> i mod 2 = 0) in
   let run =
-    Ks_workload.Run.run Ks_workload.Run.Ae ~params ~seed:11L ~inputs
-      ~adversary:(Attacks.adversary scenario) ~budget:(Attacks.budget_of scenario ~params)
+    Ks_workload.Run.run Ks_workload.Run.Ae ~params ~seed:11L ~inputs ~adversary
+      ~budget:(Ks_attacks.budget_for adversary ~params ~fraction:0.25)
   in
   let r = run.Ks_workload.Run.detail in
   Printf.printf

@@ -10,7 +10,6 @@
 
 module Params = Ks_core.Params
 module Everywhere = Ks_core.Everywhere
-module Attacks = Ks_workload.Attacks
 module Run = Ks_workload.Run
 module Inputs = Ks_workload.Inputs
 module Prng = Ks_stdx.Prng
@@ -27,16 +26,15 @@ let () =
   (* 2. Inputs and an adversary.  The model lets the adversary choose the
      inputs, so the alternating split is the canonical hard case. *)
   let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-  let scenario = Attacks.byzantine_static in
-  let budget = Attacks.budget_of scenario ~params in
+  let adversary = Ks_attacks.byzantine_static in
+  let budget = Ks_attacks.budget_for adversary ~params ~fraction:0.25 in
   Printf.printf "adversary: %s, corrupting up to %d of %d processors\n"
-    scenario.Attacks.label budget n;
+    adversary.Ks_attacks.name budget n;
 
   (* 3. Run the full protocol: the almost-everywhere tournament followed
      by the everywhere amplification. *)
   let outcome =
-    Run.run Run.Everywhere ~params ~seed ~inputs
-      ~adversary:(Attacks.adversary scenario) ~budget
+    Run.run Run.Everywhere ~params ~seed ~inputs ~adversary ~budget
   in
   let result = outcome.Run.detail in
 

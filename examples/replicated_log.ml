@@ -19,7 +19,6 @@
    of each so the contrast the paper targets is visible on real output. *)
 
 module Prng = Ks_stdx.Prng
-module Attacks = Ks_workload.Attacks
 module Run = Ks_workload.Run
 module Params = Ks_core.Params
 
@@ -32,10 +31,10 @@ type slot_result = { decided_commit : bool; max_bits : int; rounds : int }
    faulty), through the shared runner. *)
 let slot p ~seed ~inputs =
   let params = Params.practical n in
-  let scenario = Attacks.crash in
+  let adversary = Ks_attacks.crash in
   let o =
-    Run.run p ~params ~seed ~inputs ~adversary:(Attacks.adversary scenario)
-      ~budget:(Attacks.budget_of scenario ~params)
+    Run.run p ~params ~seed ~inputs ~adversary
+      ~budget:(Ks_attacks.budget_for adversary ~params ~fraction:0.25)
   in
   { decided_commit = o.Run.value = Some 1; max_bits = o.Run.max_bits; rounds = o.Run.rounds }
 

@@ -26,7 +26,6 @@
    dozen neighbours only. *)
 
 module Aeba = Ks_core.Aeba_coin
-module Attacks = Ks_workload.Attacks
 module Params = Ks_core.Params
 module Prng = Ks_stdx.Prng
 
@@ -40,7 +39,7 @@ let run_field ~signal ~seed =
   let inputs = Array.init n (fun _ -> Prng.bernoulli rng signal) in
   Aeba.run_standalone ~seed ~n ~degree:params.Params.aeba_degree
     ~rounds:14 ~epsilon:params.Params.epsilon ~budget:(n * 3 / 20) ~inputs
-    ~strategy:(Attacks.vote_flipper Attacks.byzantine_static ~params)
+    ~strategy:(Ks_attacks.byzantine_static.vote ~params)
     ~coin:Aeba.Ideal ()
 
 let () =

@@ -1,13 +1,21 @@
-(** Seeded, replayable active-Byzantine attack strategies.
+(** The adversaries: one shape, {!t}, for the in-model scenario presets
+    and the seeded, replayable active-Byzantine attacks alike.
 
-    Each attack bundles the Comm {!Ks_core.Comm.behavior} policy for the
-    corrupted processors' regular protocol traffic with three bespoke
+    Each entry bundles the Comm {!Ks_core.Comm.behavior} policy for the
+    corrupted processors' regular protocol traffic with three
     {!Ks_sim.Types.strategy} constructors — one per network the
     Everywhere stack creates.  All randomness comes from the adversary
     view's RNG, so runs replay bit-identically from their seed; the
     library being linked changes nothing about unattacked executions.
 
-    The catalog (docs/ATTACKS.md):
+    One rule picks the corruption count: a preset's [budget_of], an
+    attack's {!budget} ({!budget_for} chooses).  Strategies never cap it:
+    each spends whatever budget its net reports.
+
+    The presets ([ba_sim --adversary]): [honest], [crash], [byz-static],
+    [byz-adaptive], [eclipse], [flood].
+
+    The attacks (docs/ATTACKS.md, [ba_sim --list-attacks]):
     - [equivocate] — rushing equivocation: conflicting in-field values per
       recipient parity, plus duplicate conflicting deals on one channel
       (the provable kind);
@@ -53,9 +61,28 @@ and preset = {
   generic : 'msg. params:Ks_core.Params.t -> 'msg Ks_sim.Types.strategy;
 }
 
-(** The six attacks ([ba_sim --list-attacks]); the registry with the
-    presets is [Ks_workload.Attacks.registry]. *)
-val all : t list
+(** The six presets.  [budget_of] is ⌊n/4⌋ within (1/3 − ε)·n, except
+    [honest]'s 0 ([honest] corrupts no one and draws nothing from the
+    RNG); vote nets get the minority echo.
+    - [crash] — a static random set, silent;
+    - [byzantine_static] ([byz-static]) — a static random set, [Garbage];
+    - [byzantine_adaptive] ([byz-adaptive]) — one fresh corruption per
+      round, [Garbage];
+    - [eclipse] — whole level-1 nodes on the tree net (static random sets
+      elsewhere), [Flip];
+    - [flood] — [byz-static] plus poisoned replies and label-guessing
+      request floods in amplification. *)
+
+val honest : t
+val crash : t
+val byzantine_static : t
+val byzantine_adaptive : t
+val eclipse : t
+val flood : t
+
+(** Every adversary [ba_sim] can run ([--adversary] and [--attack] both
+    look names up here): the six presets, then the six attacks. *)
+val registry : t list
 
 val find : string -> t option
 

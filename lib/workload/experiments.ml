@@ -37,11 +37,9 @@ let mean_int f runs = mean_of (List.map (fun r -> float_of_int (f r)) runs)
    a 25% static Byzantine adversary. *)
 let scaling_run ~n ~seed =
   let params = Ks_core.Params.practical n in
-  let scenario = Attacks.byzantine_static in
-  let run p ~budget =
-    table_run p ~params ~offset:0 ~seed ~adversary:(Attacks.adversary scenario) ~budget
-  in
-  let budget = Attacks.budget_of scenario ~params in
+  let adversary = Ks_attacks.byzantine_static in
+  let run p ~budget = table_run p ~params ~offset:0 ~seed ~adversary ~budget in
+  let budget = Ks_attacks.budget_for adversary ~params ~fraction:0.25 in
   (* In this order: the trace records the runs as they happen. *)
   let ks = run Run.Everywhere ~budget in
   let rabin = run Run.Rabin ~budget in
@@ -177,8 +175,7 @@ let t10_crossover pts =
 
 let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
   let scenarios =
-    [ Attacks.honest; Attacks.crash; Attacks.byzantine_static;
-      Attacks.byzantine_adaptive; Attacks.eclipse ]
+    Ks_attacks.[ honest; crash; byzantine_static; byzantine_adaptive; eclipse ]
   in
   let rows =
     List.concat_map
@@ -191,8 +188,8 @@ let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
               List.map
                 (fun seed ->
                   table_run Run.Ae ~params ~offset:77 ~seed
-                    ~adversary:(Attacks.adversary sc)
-                    ~budget:(Attacks.budget_of sc ~params))
+                    ~adversary:sc
+                    ~budget:(Ks_attacks.budget_for sc ~params ~fraction:0.25))
                 seeds
             in
             let agreement =
@@ -210,7 +207,7 @@ let t3_ae_agreement ?(ns = [ 64; 128 ]) ?(seeds = [ 1; 2 ]) () =
             in
             [
               Table.fint n;
-              sc.Attacks.label;
+              sc.Ks_attacks.name;
               Table.fpct agreement;
               Table.fpct target;
               Printf.sprintf "%d/%d" valid (List.length runs);
@@ -231,14 +228,14 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
   let degree = params.Ks_core.Params.aeba_degree in
   let epsilon = params.Ks_core.Params.epsilon in
   let target = 1.0 -. (2.0 /. float_of_int lg) in
-  let scenario = Attacks.byzantine_static in
+  let vote = Ks_attacks.byzantine_static.vote ~params in
   let run ~rounds ~fraction ~coin ~seed =
     let budget = int_of_float (fraction *. float_of_int n) in
     let rng = Prng.create (seed_of n (seed + 31)) in
     let inputs = Inputs.generate rng ~n Inputs.Split in
     Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 31)) ~n ~degree
       ~rounds ~epsilon ~budget ~inputs
-      ~strategy:(Attacks.vote_flipper scenario ~params)
+      ~strategy:vote
       ~coin ()
   in
   let success_rate ~rounds ~fraction ~coin =
@@ -304,7 +301,7 @@ let t4_aeba_coins ?(n = 256) ?(trials = 10) () =
             Ks_core.Aeba_coin.run_standalone ~seed:(seed_of n (seed + 63)) ~n
               ~degree ~rounds:(lg + 4) ~epsilon ~budget
               ~inputs:(Array.make n false)
-              ~strategy:(Attacks.vote_flipper scenario ~params)
+              ~strategy:vote
               ~coin:Ks_core.Aeba_coin.Ideal ()
           in
           if o.Ks_core.Aeba_coin.agreement >= target && o.Ks_core.Aeba_coin.valid
@@ -398,8 +395,10 @@ let t6_a2e ?(ns = [ 256; 1024 ]) ?(seeds = [ 1; 2; 3 ]) () =
         let config = Ks_core.Ae_to_e.config_of_params params in
         List.map
           (fun (label, flood) ->
-            let scenario = if flood then Attacks.flood else Attacks.byzantine_static in
-            let budget = Attacks.budget_of scenario ~params in
+            let scenario =
+              if flood then Ks_attacks.flood else Ks_attacks.byzantine_static
+            in
+            let budget = Ks_attacks.budget_for scenario ~params ~fraction:0.25 in
             let runs =
               List.map
                 (fun seed ->
@@ -420,7 +419,7 @@ let t6_a2e ?(ns = [ 256; 1024 ]) ?(seeds = [ 1; 2; 3 ]) () =
                     else Some ks.(iteration)
                   in
                   let strategy =
-                    Attacks.a2e_strategy scenario ~params ~coin ~carried:[]
+                    scenario.Ks_attacks.a2e ~params ~carried:[] ~coin
                   in
                   let net =
                     Ks_sim.Net.create ~label:"a2e" ~seed:(seed_of n (seed + 555))
@@ -613,7 +612,7 @@ let ae_agreement r = r.Run.detail.Ks_core.Everywhere.ae.Ks_core.Ae_ba.agreement
    corruptions; Rabin faces byz-static's vote flipper. *)
 let static_carry_only =
   {
-    (Attacks.adversary Attacks.byzantine_static) with
+    Ks_attacks.byzantine_static with
     Ks_attacks.name = "static";
     doc = "static random Garbage senders, carried into amplification";
     tree =
@@ -683,7 +682,6 @@ let t11_ablation ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
             Stdlib.max 2 (base.Ks_core.Params.aeba_rounds / 2) } );
     ]
   in
-  let scenario = Attacks.byzantine_static in
   let rows =
     List.map
       (fun (label, params) ->
@@ -694,7 +692,7 @@ let t11_ablation ?(n = 64) ?(seeds = [ 1; 2; 3 ]) () =
           List.map
             (fun seed ->
               table_run Run.Everywhere ~params ~offset:1300 ~seed
-                ~adversary:(Attacks.adversary scenario) ~budget)
+                ~adversary:Ks_attacks.byzantine_static ~budget)
             seeds
         in
         let succ = agreed runs in
@@ -1031,7 +1029,7 @@ let t17_attacks ?(n = 32) ?(seeds = [ 1; 2 ]) () =
                 ])
               [ true; false ])
           fractions)
-      Ks_attacks.all
+      (List.filter (fun a -> Option.is_none a.Ks_attacks.preset) Ks_attacks.registry)
   in
   Table.print
     ~title:

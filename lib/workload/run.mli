@@ -3,7 +3,7 @@
     repeat: the adversary aims at the tree the protocol really builds
     ({!Ks_attacks.protocol_tree}), the amplification strategy closure,
     Rabin's T10 round rule and the baselines' fault caps.  Adversaries
-    come from {!Attacks.registry} or share its shape; budgets are the
+    come from {!Ks_attacks.registry} or share its shape; budgets are the
     caller's, usually {!Ks_attacks.budget_for}. *)
 
 (** A protocol, indexed by its full result.  [Ae] is the tournament

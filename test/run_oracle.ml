@@ -67,7 +67,7 @@ let run_async ~n ~scenario ~seed ~inputs =
     | Ks_core.Comm.Equivocate ->
       Ks_async.Async_ba.Equivocate
   in
-  let f = if scenario.Attacks.label = "honest" then 0 else f in
+  let f = if scenario.Attacks.name = "honest" then 0 else f in
   Ks_async.Async_ba.run ~seed ~n ~f ~inputs ~byz
     ~scheduler:Ks_async.Async_net.Fair ~max_events:8_000_000 ()
 

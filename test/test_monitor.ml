@@ -327,11 +327,14 @@ let test_violation_report_renders () =
 
 (* --- Property-based adversarial sweep (the ISSUE's harness) ---------- *)
 
+let presets =
+  List.filter (fun a -> Option.is_some a.Attacks.preset) Ks_attacks.registry
+
 let scenario_gen =
   QCheck.Gen.(
-    triple (oneofl Attacks.all) (int_range 32 256) (int_range 1 1000))
+    triple (oneofl presets) (int_range 32 256) (int_range 1 1000))
 
-let print_scenario (s, n, seed) = Printf.sprintf "%s n=%d seed=%d" s.Attacks.label n seed
+let print_scenario (s, n, seed) = Printf.sprintf "%s n=%d seed=%d" s.Attacks.name n seed
 
 let prop_no_violations_under_budget =
   QCheck.Test.make ~name:"standard monitors quiet across Attacks scenarios" ~count:12
@@ -352,7 +355,7 @@ let prop_fires_when_budget_exceeded =
   (* Same runs, but the monitor is given a stricter limit than the model
      budget: every corrupting scenario must trip it. *)
   let corrupting =
-    List.filter (fun s -> s.Attacks.schedule <> Attacks.No_corruption) Attacks.all
+    List.filter (fun s -> not (String.equal s.Attacks.name "honest")) presets
   in
   QCheck.Test.make ~name:"corruption monitor fires when limit exceeded" ~count:12
     (QCheck.make ~print:print_scenario

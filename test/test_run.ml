@@ -95,9 +95,7 @@ let reference_row (type r) (p : r Run.protocol) (adversary : Ks_attacks.t) ~seed
   let retries = 0 and quarantine = true in
   match adversary.preset with
   | Some _ ->
-    let scenario =
-      List.find (fun s -> String.equal s.Attacks.label adversary.name) Attacks.all
-    in
+    let scenario = adversary in
     (* The one deliberate difference: eclipse now aims at the protocol's
        own tree. *)
     let eclipse = String.equal adversary.name "eclipse" in
@@ -159,7 +157,7 @@ let differential_cases =
           if Run.supports adversary p then Some (differential adversary proto)
           else None)
         Run.protocols)
-    Attacks.registry
+    Ks_attacks.registry
 
 (* T9's and T16's adversary against the tables' old hand-wiring. *)
 let test_static_carry_only () =
@@ -184,7 +182,7 @@ let test_eclipse_hits_protocol_tree () =
   let params = Params.practical n in
   let seed = 42L in
   let inputs = Inputs.generate (Prng.create seed) ~n Inputs.Split in
-  let adversary = Option.get (Attacks.find "eclipse") in
+  let adversary = Option.get (Ks_attacks.find "eclipse") in
   let budget = Ks_attacks.budget_for adversary ~params ~fraction in
   let whole_leaf comm =
     let tree = Ks_core.Comm.tree comm and net = Ks_core.Comm.net comm in
@@ -204,13 +202,16 @@ let test_eclipse_hits_protocol_tree () =
 let test_registry () =
   Alcotest.(check (list string))
     "presets first, then the attack library"
-    (List.map (fun s -> s.Attacks.label) Attacks.all
-    @ List.map (fun a -> a.Ks_attacks.name) Ks_attacks.all)
-    (List.map (fun a -> a.Ks_attacks.name) Attacks.registry);
+    [
+      "honest"; "crash"; "byz-static"; "byz-adaptive"; "eclipse"; "flood";
+      "equivocate"; "bad-share-inside"; "bad-share-outside"; "hunt-committee";
+      "coin-split"; "wire-junk";
+    ]
+    (List.map (fun a -> a.Ks_attacks.name) Ks_attacks.registry);
   Alcotest.(check int) "presets drive all six protocols" 6
     (List.length
        (List.filter
-          (fun (_, Run.Any p) -> Run.supports (Attacks.adversary Attacks.crash) p)
+          (fun (_, Run.Any p) -> Run.supports Attacks.crash p)
           Run.protocols));
   Alcotest.(check int) "T10 round rule" 14 (Ks_baselines.Rabin.t10_rounds ~n:16)
 

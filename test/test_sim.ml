@@ -190,12 +190,21 @@ let test_budget_edges_all_schedules () =
      extremes: a zero budget (adaptation requests are all refused, and
      the schedule must not corrupt anyone) and a synthetic view claiming
      [view_budget_left = n] (more budget than honest processors — the
-     [adapt] call must still terminate and stay within bounds). *)
+     [adapt] call must still terminate and stay within bounds).  The
+     static schedules must also spend a budget one above their preset's
+     own count in full, on every net: the net's budget is the only
+     corruption count. *)
   let n = 16 in
   let params = Ks_core.Params.practical n in
+  let tree = Ks_attacks.protocol_tree ~params ~ae_seed:(Ks_attacks.ae_seed_of 3L) in
+  let spent strategy ~budget =
+    let net = Net.create ~seed:3L ~n ~budget ~msg_bits:(fun _ -> 1) ~strategy () in
+    ignore (Net.exchange net []);
+    Net.corrupt_count net
+  in
   List.iter
     (fun sc ->
-      let label = sc.Ks_workload.Attacks.label in
+      let label = sc.Ks_workload.Attacks.name in
       let strategy : int Types.strategy =
         Ks_workload.Attacks.generic_strategy sc ~params
       in
@@ -223,8 +232,19 @@ let test_budget_edges_all_schedules () =
       in
       Alcotest.(check (list int))
         (label ^ ": everyone corrupt, nothing pickable")
-        [] saturated)
-    Ks_workload.Attacks.all
+        [] saturated;
+      if List.mem label [ "crash"; "byz-static"; "flood"; "eclipse" ] then begin
+        let budget = Ks_workload.Attacks.budget_of sc ~params + 1 in
+        let check net got =
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s net spends budget %d" label net budget)
+            budget got
+        in
+        check "generic" (spent strategy ~budget);
+        check "vote" (spent (sc.vote ~params) ~budget);
+        check "tree" (spent (sc.tree ~params ~tree) ~budget)
+      end)
+    (List.filter (fun a -> Option.is_some a.Ks_attacks.preset) Ks_attacks.registry)
 
 let test_meter_merge () =
   let a = Meter.create ~n:4 and b = Meter.create ~n:4 in
