@@ -38,8 +38,8 @@ let creeping_crash ~per_round =
   make ~name:"creeping-crash"
     ~adapt:(fun view ->
       let want = Stdlib.min per_round view.view_budget_left in
-      (* Bounded rejection sampling (16 tries per slot, as the workload
-         schedules do): with fewer honest processors left than [want] —
+      (* Bounded rejection sampling (16 tries per slot): with fewer
+         honest processors left than [want] —
          reachable when a harness hands the adversary a view with
          [view_budget_left] at or above the honest count — unbounded
          retries would never terminate.  Picking fewer than [want] is
@@ -54,5 +54,3 @@ let creeping_crash ~per_round =
       in
       if want <= 0 then [] else pick [] want (16 * want))
     ()
-
-let with_name name strategy = { strategy with name }
