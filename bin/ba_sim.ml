@@ -99,7 +99,7 @@ let run_protocol (type r) (p : r Run.protocol) ~retries ~quarantine ~params
       let label = if Option.is_some adversary.preset then name else "attack:" ^ name in
       report_everywhere ~label ~budget ~n o
     | Run.Ae -> report_ae ~n o
-    | Run.Async -> report_async ~n ~budget o
+    | Run.Async _ -> report_async ~n ~budget o
     | Run.Rabin | Run.Phase_king | Run.Ben_or -> report_baseline o
   in
   match failure with

@@ -85,7 +85,7 @@ let of_string s =
   List.fold_left step (Ok none) fields
 
 (* Named presets for the CLI ([ba_sim --faults NAME], --list-faults).
-   The first three mirror the T16 sweep rows so a table cell can be
+   T16 reads the first three as its faulted rows, so a table cell can be
    reproduced from the command line verbatim. *)
 let presets =
   let plan s = match of_string s with Ok p -> p | Error e -> invalid_arg e in

@@ -36,7 +36,7 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 
 (** Named plans for the CLI: [(name, plan, one-line description)].
-    The first three reproduce the T16 sweep rows. *)
+    T16 reads the first three as its faulted rows. *)
 val presets : (string * t * string) list
 
 (** Resolve a {!presets} name, falling back to {!of_string}. *)

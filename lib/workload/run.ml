@@ -1,20 +1,26 @@
 module Params = Ks_core.Params
 module Outcome = Ks_baselines.Outcome
 
+type async_net = {
+  scheduler : Ks_async.Async_ba.msg Ks_async.Async_net.scheduler;
+  max_events : int;
+}
+
 type _ protocol =
   | Everywhere : Ks_core.Everywhere.result protocol
   | Ae : Ks_core.Ae_ba.result protocol
   | Rabin : Outcome.t protocol
   | Phase_king : Outcome.t protocol
   | Ben_or : Outcome.t protocol
-  | Async : Ks_async.Async_ba.outcome protocol
+  | Async : async_net -> Ks_async.Async_ba.outcome protocol
 
 type any = Any : _ protocol -> any
 
 let protocols =
   [
     ("everywhere", Any Everywhere); ("ae", Any Ae); ("rabin", Any Rabin);
-    ("phase-king", Any Phase_king); ("ben-or", Any Ben_or); ("async", Any Async);
+    ("phase-king", Any Phase_king); ("ben-or", Any Ben_or);
+    ("async", Any (Async { scheduler = Ks_async.Async_net.Fair; max_events = 8_000_000 }));
   ]
 
 type 'r outcome = {
@@ -37,7 +43,7 @@ let ae_target ~n = 1.0 -. (1.0 /. float_of_int (Ks_stdx.Intmath.ceil_log2 n))
 let supports (type r) (adversary : Ks_attacks.t) (p : r protocol) =
   match p with
   | Everywhere | Ae | Rabin -> true
-  | Phase_king | Ben_or | Async -> Option.is_some adversary.Ks_attacks.preset
+  | Phase_king | Ben_or | Async _ -> Option.is_some adversary.Ks_attacks.preset
 
 let async_faults ~n ~budget = Stdlib.min budget ((n - 2) / 3)
 
@@ -122,7 +128,7 @@ let run (type r) ?retries ?quarantine (p : r protocol) ~params ~seed ~inputs
       (Ks_baselines.Ben_or.run ~seed ~n ~budget:(Stdlib.min budget (n / 6))
          ~max_phases:(4 * lg) ~inputs
          ~strategy:(generic adversary ~params))
-  | Async ->
+  | Async { scheduler; max_events } ->
     let byz =
       match behavior with
       | Ks_core.Comm.Silent -> Ks_async.Async_ba.Silent
@@ -132,7 +138,7 @@ let run (type r) ?retries ?quarantine (p : r protocol) ~params ~seed ~inputs
     in
     let o =
       Ks_async.Async_ba.run ~seed ~n ~f:(async_faults ~n ~budget) ~inputs ~byz
-        ~scheduler:Ks_async.Async_net.Fair ~max_events:8_000_000 ()
+        ~scheduler ~max_events ()
     in
     outcome ~agreed:o.agreement ~valid:o.validity
       ~value:(Option.map Bool.to_int o.value) ~rounds:o.max_rounds

@@ -6,19 +6,26 @@
     come from {!Ks_attacks.registry} or share its shape; budgets are the
     caller's, usually {!Ks_attacks.budget_for}. *)
 
+(** An [Async] run's delivery order and its cap on delivery events. *)
+type async_net = {
+  scheduler : Ks_async.Async_ba.msg Ks_async.Async_net.scheduler;
+  max_events : int;
+}
+
 (** A protocol, indexed by its full result.  [Ae] is the tournament
-    alone; [Async] is MMR'14 with a coin oracle and a fair scheduler. *)
+    alone; [Async] is MMR'14 with a coin oracle under its [async_net]. *)
 type _ protocol =
   | Everywhere : Ks_core.Everywhere.result protocol
   | Ae : Ks_core.Ae_ba.result protocol
   | Rabin : Ks_baselines.Outcome.t protocol
   | Phase_king : Ks_baselines.Outcome.t protocol
   | Ben_or : Ks_baselines.Outcome.t protocol
-  | Async : Ks_async.Async_ba.outcome protocol
+  | Async : async_net -> Ks_async.Async_ba.outcome protocol
 
 type any = Any : _ protocol -> any
 
-(** CLI names: everywhere, ae, rabin, phase-king, ben-or, async. *)
+(** CLI names: everywhere, ae, rabin, phase-king, ben-or, async (fair
+    scheduler, 8 M delivery events). *)
 val protocols : (string * any) list
 
 type 'r outcome = {

@@ -128,3 +128,16 @@ let t16_rabin ~params ~budget ~seed ~inputs =
   Ks_baselines.Rabin.run ~seed ~n ~budget
     ~rounds:((2 * lg) + 6) ~epsilon:params.Ks_core.Params.epsilon ~inputs
     ~strategy:(Attacks.vote_flipper Attacks.byzantine_static ~params)
+
+(* --- T15's async sweep (one seed of one cell), with the table's seed
+   rule --- *)
+
+let seed_of n seed = Int64.add (Int64.mul 1000003L (Int64.of_int n)) (Int64.of_int seed)
+
+let t15_async ~n ~scheduler ~seed =
+  let f = (n - 2) / 3 in
+  let rng = Prng.create (seed_of n (seed + 4100)) in
+  let inputs = Ks_workload.Inputs.generate rng ~n Ks_workload.Inputs.Split in
+  Ks_async.Async_ba.run ~seed:(seed_of n (seed + 4100)) ~n ~f
+    ~inputs ~byz:Ks_async.Async_ba.Equivocate ~scheduler
+    ~max_events:40_000_000 ()

@@ -121,15 +121,15 @@ let test_t1_t2_t10_tables_from_synthetic_points () =
   Alcotest.(check int) "t10 rows" 3 (List.length t10)
 
 let test_t5_table () =
-  let rows = Experiments.t5_election ~candidates:128 ~trials:40 () in
+  let rows = Experiments.t5_election ~candidates:128 ~trials:40 in
   Alcotest.(check int) "five sweep rows" 5 (List.length rows)
 
 let test_t7_table () =
-  let rows = Experiments.t7_hiding ~trials:2000 () in
+  let rows = Experiments.t7_hiding ~trials:2000 in
   Alcotest.(check int) "five rows" 5 (List.length rows)
 
 let test_t8_table () =
-  let rows = Experiments.t8_samplers ~r:256 ~s:256 () in
+  let rows = Experiments.t8_samplers ~r:256 ~s:256 in
   Alcotest.(check int) "five degrees" 5 (List.length rows)
 
 let test_universe_reduction () =

@@ -196,7 +196,7 @@ let traced_t3 () =
   let hub = Hub.create ~trace:sink [] in
   let rows =
     Hub.with_ambient hub (fun () ->
-        Ks_workload.Experiments.t3_ae_agreement ~ns:[ 32 ] ~seeds:[ 1 ] ())
+        Ks_workload.Experiments.t3_ae_agreement ~ns:[ 32 ] ~seeds:[ 1 ])
   in
   ignore (Hub.finish hub);
   (rows, Trace.render (Trace.contents sink))

@@ -83,7 +83,7 @@ let runner_row (type r) (p : r Run.protocol) ~adversary ~budget ~seed =
   match p with
   | Run.Everywhere -> ppm o.detail.Ks_core.Everywhere.ae.agreement :: common
   | Run.Ae -> ppm o.detail.Ks_core.Ae_ba.agreement :: common
-  | Run.Async -> ("events", o.detail.Ks_async.Async_ba.events) :: common
+  | Run.Async _ -> ("events", o.detail.Ks_async.Async_ba.events) :: common
   | Run.Rabin -> common
   | Run.Phase_king -> common
   | Run.Ben_or -> common
@@ -119,7 +119,7 @@ let reference_row (type r) (p : r Run.protocol) (adversary : Ks_attacks.t) ~seed
        of_baseline (Oracle.run_baseline `Phase_king ~params ~scenario ~seed ~inputs)
      | Run.Ben_or ->
        of_baseline (Oracle.run_baseline `Ben_or ~params ~scenario ~seed ~inputs)
-     | Run.Async -> of_async (Oracle.run_async ~n ~scenario ~seed ~inputs))
+     | Run.Async _ -> of_async (Oracle.run_async ~n ~scenario ~seed ~inputs))
   | None ->
     let atk = adversary in
     (match p with
@@ -133,7 +133,7 @@ let reference_row (type r) (p : r Run.protocol) (adversary : Ks_attacks.t) ~seed
             ~inputs)
      | Run.Rabin ->
        of_baseline (Oracle.run_rabin_attack ~params ~atk ~fraction ~seed ~inputs)
-     | Run.Phase_king | Run.Ben_or | Run.Async ->
+     | Run.Phase_king | Run.Ben_or | Run.Async _ ->
        Alcotest.fail "attacks drive only everywhere, ae and rabin")
 
 let fields = Alcotest.(list (pair string int))
@@ -199,6 +199,66 @@ let test_eclipse_hits_protocol_tree () =
   Alcotest.(check bool) "ae: a whole level-1 node eclipsed" true
     (whole_leaf a.detail.Ks_core.Ae_ba.comm)
 
+(* --- Table cells ([Experiments.run_cell]) --- *)
+
+module Experiments = Ks_workload.Experiments
+
+(* T15's cell: [Run.Async] with the table's scheduler and event cap must
+   reproduce the old direct [Async_ba.run] call, for both schedulers. *)
+let test_t15_async_cell () =
+  let n = 32 in
+  let params = Params.practical n in
+  List.iter
+    (fun (label, scheduler) ->
+      let runs =
+        Experiments.run_cell
+          (Experiments.cell
+             (Run.Async { scheduler; max_events = 40_000_000 })
+             ~params ~adversary:Ks_attacks.byzantine_static ~budget:((n - 2) / 3)
+             ~offset:4100)
+          [ 1; 2 ]
+      in
+      List.iteri
+        (fun i (o : _ Run.outcome) ->
+          let seed = i + 1 in
+          Alcotest.check fields
+            (Printf.sprintf "%s, seed %d" label seed)
+            (of_async (Oracle.t15_async ~n ~scheduler ~seed))
+            (("events", o.detail.Ks_async.Async_ba.events) :: of_outcome o))
+        runs)
+    [ ("fair", Ks_async.Async_net.Fair);
+      ("starve n/8", Ks_async.Async_net.Delay_targets (List.init (n / 8) Fun.id)) ]
+
+(* A cell's fault plan reaches every net its runs create: the cell under
+   the [lossy] preset equals the hand-wired [Plan.with_plan] run, and its
+   trace records injected faults. *)
+let test_cell_plan () =
+  let lossy = Result.get_ok (Ks_faults.Plan.of_string_or_preset "lossy") in
+  let adversary = Experiments.static_carry_only in
+  let budget = Ks_attacks.budget ~params ~fraction:0.30 in
+  let sink = Ks_monitor.Trace.ring ~capacity:200_000 in
+  let hub = Ks_monitor.Hub.create ~trace:sink ~close_trace:false [] in
+  let cell_runs =
+    Ks_monitor.Hub.with_ambient hub (fun () ->
+        Experiments.run_cell
+          (Experiments.cell ~retries:2 ~plan:lossy Run.Everywhere ~params ~adversary
+             ~budget ~offset:5200)
+          [ 1 ])
+  in
+  ignore (Ks_monitor.Hub.finish hub);
+  let seed = Oracle.seed_of n (1 + 5200) in
+  let wired =
+    Ks_faults.Plan.with_plan lossy (fun () ->
+        Run.run ~retries:2 Run.Everywhere ~params ~seed ~inputs:(inputs seed) ~adversary
+          ~budget)
+  in
+  Alcotest.check fields "cell = hand-wired plan" (of_outcome wired)
+    (of_outcome (List.hd cell_runs));
+  Alcotest.(check bool) "the trace records faults" true
+    (List.exists
+       (function Ks_monitor.Event.Fault _ -> true | _ -> false)
+       (Ks_monitor.Trace.contents sink))
+
 let test_registry () =
   Alcotest.(check (list string))
     "presets first, then the attack library"
@@ -224,6 +284,11 @@ let () =
           Alcotest.test_case "static carry-only (T9/T16)" `Slow test_static_carry_only;
           Alcotest.test_case "eclipse aims at the protocol tree" `Slow
             test_eclipse_hits_protocol_tree;
+        ] );
+      ( "cells",
+        [
+          Alcotest.test_case "T15 async cell" `Slow test_t15_async_cell;
+          Alcotest.test_case "fault plan reaches the nets" `Slow test_cell_plan;
         ] );
       ("differential", differential_cases);
     ]
