@@ -975,7 +975,9 @@ let tables ?trace ~quick () =
     table "t13"
       ~title:
         (Printf.sprintf
-           "T13 (§1.3): KSSV'06 processor tournament at n=%d — representative           when static, owned when adaptive" t13_n)
+           "T13 (§1.3): KSSV'06 processor tournament at n=%d — representative \
+            when static, owned when adaptive"
+           t13_n)
       ~headers:[ "adversary"; "run"; "committee"; "good"; "corruptions"; "max bits/proc" ]
       (fun () -> t13_kssv ~n:t13_n ~seeds:seeds3);
     table ~monitors:none "t14" ~title:"T14: practical vs theoretical parameter profiles"
@@ -983,7 +985,8 @@ let tables ?trace ~quick () =
       t14_parameters;
     table "t15"
       ~title:
-        "T15 (§6 open problem): async binary BA with a common-coin oracle,        equivocating f=(n-2)/3"
+        "T15 (§6 open problem): async binary BA with a common-coin oracle, \
+         equivocating f=(n-2)/3"
       ~headers:
         [ "n"; "scheduler"; "all decided"; "no conflict"; "rounds (mean)";
           "max bits/proc" ]
