@@ -141,3 +141,107 @@ let t15_async ~n ~scheduler ~seed =
   Ks_async.Async_ba.run ~seed:(seed_of n (seed + 4100)) ~n ~f
     ~inputs ~byz:Ks_async.Async_ba.Equivocate ~scheduler
     ~max_events:40_000_000 ()
+
+(* --- Rabin's all-to-all round loop as it stood before Algorithm 5's
+   round loop was shared with the standalone runner: [Rabin.run]'s body
+   verbatim, over a verbatim copy of the single-instance [Aeba_coin]
+   pieces it drove (create, outgoing, update_vote, step, votes). --- *)
+
+module Aeba_coin_v1 = struct
+  module Graph = Ks_topology.Graph
+
+  type t = {
+    members : int array;
+    pos_of : (int, int) Hashtbl.t;
+    graph : Graph.t;
+    epsilon : float;
+    eps0 : float;
+    votes : bool array;
+  }
+
+  let create ~members ~graph ~inputs ~epsilon ?(eps0 = 0.05) () =
+    let m = Array.length members in
+    if Graph.n graph <> m then invalid_arg "Aeba_coin.create: graph size mismatch";
+    if Array.length inputs <> m then invalid_arg "Aeba_coin.create: inputs size mismatch";
+    let pos_of = Hashtbl.create (2 * m) in
+    Array.iteri (fun pos p -> Hashtbl.replace pos_of p pos) members;
+    { members; pos_of; graph; epsilon; eps0; votes = Array.copy inputs }
+
+  let votes t = Array.copy t.votes
+
+  let outgoing t =
+    let out = ref [] in
+    for pos = Array.length t.members - 1 downto 0 do
+      let src = t.members.(pos) in
+      let v = t.votes.(pos) in
+      Array.iter
+        (fun npos -> out := (src, t.members.(npos), v) :: !out)
+        (Graph.neighbours t.graph pos)
+    done;
+    !out
+
+  let update_vote ~epsilon ~eps0 ~ones ~total ~coin ~current =
+    if total = 0 then current
+    else begin
+      let maj = 2 * ones >= total in
+      let maj_count = if maj then ones else total - ones in
+      let fraction = float_of_int maj_count /. float_of_int total in
+      let threshold = (1.0 -. eps0) *. ((2.0 /. 3.0) +. (epsilon /. 2.0)) in
+      if fraction >= threshold then maj
+      else match coin with Some c -> c | None -> maj
+    end
+
+  let step t ~received ~coin ~good =
+    let m = Array.length t.members in
+    let next = Array.copy t.votes in
+    for pos = 0 to m - 1 do
+      if good t.members.(pos) then begin
+        let seen = Hashtbl.create 16 in
+        let ones = ref 0 and total = ref 0 in
+        List.iter
+          (fun (src, v) ->
+            match Hashtbl.find_opt t.pos_of src with
+            | Some spos
+              when Graph.adjacent t.graph pos spos && not (Hashtbl.mem seen src) ->
+              Hashtbl.add seen src ();
+              incr total;
+              if v then incr ones
+            | Some _ | None -> ())
+          (received pos);
+        next.(pos) <-
+          update_vote ~epsilon:t.epsilon ~eps0:t.eps0 ~ones:!ones ~total:!total
+            ~coin:(coin pos) ~current:t.votes.(pos)
+      end
+    done;
+    Array.blit next 0 t.votes 0 m
+end
+
+let rabin_run ~seed ~n ~budget ~rounds ~epsilon ~inputs ~strategy =
+  let net =
+    Ks_sim.Net.create ~label:"rabin" ~seed ~n ~budget ~msg_bits:(fun _ -> 1)
+      ~strategy ()
+  in
+  let graph = Ks_topology.Graph.complete n in
+  let members = Array.init n (fun i -> i) in
+  let inst =
+    Aeba_coin_v1.create ~members ~graph ~inputs ~epsilon ()
+  in
+  let coin_rng = Ks_stdx.Prng.split (Ks_sim.Net.rng net) in
+  for _ = 1 to rounds do
+    let msgs =
+      List.map
+        (fun (src, dst, v) -> { Ks_sim.Types.src; dst; payload = v })
+        (Aeba_coin_v1.outgoing inst)
+    in
+    let inboxes = Ks_sim.Net.exchange net msgs in
+    let common = Ks_stdx.Prng.bool coin_rng in
+    Aeba_coin_v1.step inst
+      ~received:(fun pos ->
+        List.map
+          (fun e -> (e.Ks_sim.Types.src, e.Ks_sim.Types.payload))
+          inboxes.(pos))
+      ~coin:(fun _ -> Some common)
+      ~good:(fun p -> not (Ks_sim.Net.is_corrupt net p))
+  done;
+  let votes = Aeba_coin_v1.votes inst in
+  Ks_baselines.Outcome.of_decisions ~net ~inputs (Array.map (fun v -> Some v) votes)

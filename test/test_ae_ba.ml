@@ -159,6 +159,61 @@ let test_adaptive_mid_run_corruption () =
   in
   Alcotest.(check bool) "survives adaptive corruption" true (r.Ae_ba.agreement >= 0.85)
 
+(* Constants recorded before the tournament's vote tallies moved into
+   [Aeba_coin]: at n=32, seed 1, 25% corruption, each registry entry's
+   run must keep its ring-sink trace (MD5 of [Trace.render]), quorum
+   shortfalls, agreement and election winners. *)
+let pinned =
+  [
+    ( "honest", "ab6187f2574b7dec9ba55462d211c2b9", 0, "1",
+      "2.0:1,5 2.1:6,8 2.2:12,13 2.3:21,22 2.4:24,28 2.5:30,31" );
+    ( "byz-static", "1053541afffa736cc078c2ccf37951cb", 0, "1",
+      "2.0:0,5 2.1:6,8 2.2:12,13 2.3:21,22 2.4:24,29 2.5:30,31" );
+    ( "byz-adaptive", "81456b960bc047ab158a25fc59f60d0f", 0, "1",
+      "2.0:1,5 2.1:6,8 2.2:12,13 2.3:21,22 2.4:24,28 2.5:30,31" );
+    ( "coin-split", "44f1313514dad31e2def780890280082", 0, "1",
+      "2.0:0,5 2.1:6,8 2.2:12,13 2.3:19,22 2.4:24,25 2.5:30,31" );
+    ( "equivocate", "c4634671133b7f034a1e334d46ced93c", 0, "1",
+      "2.0:0,1 2.1:6,8 2.2:12,13 2.3:18,22 2.4:24,29 2.5:30,31" );
+    ( "wire-junk", "1b286df0a02c6986bc156cf2566a211d", 0, "1",
+      "2.0:0,1 2.1:6,8 2.2:12,13 2.3:18,23 2.4:24,29 2.5:30,31" );
+  ]
+
+let test_pinned_runs () =
+  let n = 32 in
+  let params = Params.practical n in
+  List.iter
+    (fun (name, trace_md5, shortfalls, agreement, winners) ->
+      let adversary = Option.get (Ks_attacks.find name) in
+      let sink = Ks_monitor.Trace.ring ~capacity:1_000_000 in
+      let hub = Ks_monitor.Hub.create ~trace:sink ~close_trace:false [] in
+      let o =
+        Ks_monitor.Hub.with_ambient hub (fun () ->
+            Ks_workload.Run.run Ks_workload.Run.Ae ~params ~seed:1L
+              ~inputs:(Array.init n (fun i -> i mod 2 = 0))
+              ~adversary
+              ~budget:(Ks_attacks.budget_for adversary ~params ~fraction:0.25))
+      in
+      ignore (Ks_monitor.Hub.finish hub);
+      let r = o.Ks_workload.Run.detail in
+      let events = Ks_monitor.Trace.contents sink in
+      Alcotest.(check bool) (name ^ ": ring holds the whole run") true
+        (List.length events < 1_000_000);
+      Alcotest.(check string) (name ^ ": trace md5") trace_md5
+        (Digest.to_hex (Digest.string (Ks_monitor.Trace.render events)));
+      Alcotest.(check int) (name ^ ": quorum shortfalls") shortfalls
+        r.Ae_ba.quorum_shortfalls;
+      Alcotest.(check string) (name ^ ": agreement") agreement
+        (Printf.sprintf "%.17g" r.Ae_ba.agreement);
+      Alcotest.(check string) (name ^ ": election winners") winners
+        (String.concat " "
+           (List.map
+              (fun (e : Ae_ba.election_stats) ->
+                Printf.sprintf "%d.%d:%s" e.level e.node
+                  (String.concat "," (Array.to_list (Array.map string_of_int e.winners))))
+              r.Ae_ba.elections)))
+    pinned
+
 let () =
   Alcotest.run "ae_ba"
     [
@@ -177,5 +232,6 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_deterministic_given_seed;
           Alcotest.test_case "half policy" `Slow test_half_policy_still_works_at_quarter;
           Alcotest.test_case "adaptive corruption" `Slow test_adaptive_mid_run_corruption;
+          Alcotest.test_case "pinned registry runs" `Slow test_pinned_runs;
         ] );
     ]

@@ -143,6 +143,51 @@ let test_outcome_detects_disagreement () =
   Alcotest.(check bool) "agreement detected" true o2.Outcome.agreement;
   Alcotest.(check bool) "validity detected" true o2.Outcome.validity
 
+(* [Rabin.run] against its pre-refactor body ([Run_oracle.rabin_run]):
+   the same outcome, decisions and meter readings, at two sizes, three
+   seeds, honest and under three vote-flipping attacks. *)
+let outcome =
+  Alcotest.testable
+    (fun ppf (o : Outcome.t) ->
+      Format.fprintf ppf "{agreement=%b; validity=%b; rounds=%d; max=%d; total=%d; decided=%s}"
+        o.agreement o.validity o.rounds o.max_sent_bits o.total_sent_bits
+        (String.concat ""
+           (Array.to_list
+              (Array.map
+                 (function Some true -> "1" | Some false -> "0" | None -> "-")
+                 o.decided))))
+    ( = )
+
+let test_rabin_oracle () =
+  List.iter
+    (fun n ->
+      let params = Ks_core.Params.practical n in
+      let adversaries =
+        ("none", Ks_sim.Adversary.none, 0)
+        :: List.map
+             (fun name ->
+               let atk = Option.get (Ks_attacks.find name) in
+               ( name,
+                 atk.Ks_attacks.vote ~params,
+                 Ks_attacks.budget_for atk ~params ~fraction:0.25 ))
+             [ "byz-static"; "coin-split"; "equivocate" ]
+      in
+      List.iter
+        (fun (name, strategy, budget) ->
+          List.iter
+            (fun seed ->
+              let run f =
+                f ~seed ~n ~budget ~rounds:(Rabin.t10_rounds ~n)
+                  ~epsilon:params.Ks_core.Params.epsilon ~inputs:(inputs_split n)
+                  ~strategy
+              in
+              Alcotest.check outcome
+                (Printf.sprintf "n=%d %s seed %Ld" n name seed)
+                (run Run_oracle.rabin_run) (run Rabin.run))
+            [ 1L; 2L; 3L ])
+        adversaries)
+    [ 16; 64 ]
+
 let () =
   Alcotest.run "baselines"
     [
@@ -152,6 +197,7 @@ let () =
           Alcotest.test_case "validity" `Quick test_rabin_validity;
           Alcotest.test_case "crash" `Quick test_rabin_under_crash;
           Alcotest.test_case "bits linear in n" `Quick test_rabin_bits_linear;
+          Alcotest.test_case "pre-refactor oracle" `Quick test_rabin_oracle;
         ] );
       ( "phase-king",
         [
