@@ -105,92 +105,46 @@ let equivocate_packed ~dst packed =
     Bytes.init (Bytes.length packed) (fun i ->
         Char.chr (lnot (Char.code (Bytes.get packed i)) land 0xFF))
 
-(* One round of batched vote exchange for a set of per-node ballots.
-   [ballots level node] returns (members, graph, votes-matrix) — votes are
-   per (member position, instance).  Returns the per-(node, member,
-   instance) tallies (ones, total). *)
-let vote_round comm ~behavior ~adv_rng ~level ~nodes ~members_of ~graph_of
-    ~votes_of ~instances_of =
+(* One round of batched ballot exchange: every member of every node in
+   [nodes] sends its packed election votes to its graph neighbours,
+   corrupted members under [behavior].  Returns the inboxes. *)
+let send_ballots comm ~behavior ~adv_rng ~level ~nodes ~ballots ~graph_of =
   let msgs = ref [] in
   List.iter
     (fun node ->
-      let members = members_of node in
+      let group = ballots.(node) in
       let graph = graph_of node in
-      let votes = votes_of node in
-      Array.iteri
-        (fun mp p ->
-          let packed = pack_votes votes.(mp) in
-          let payload pk = Comm.Votes { level; node; packed = pk } in
-          let send pk =
+      for mp = 0 to Aeba_coin.member_count group - 1 do
+        let p = Aeba_coin.member group ~pos:mp in
+        let packed = pack_votes (Aeba_coin.member_votes group ~pos:mp) in
+        let payload pk = Comm.Votes { level; node; packed = pk } in
+        let send pk =
+          Array.iter
+            (fun np ->
+              let e = { src = p; dst = Aeba_coin.member group ~pos:np; payload = payload pk } in
+              if Ks_sim.Net.is_corrupt (Comm.net comm) p then
+                Comm.queue_adversarial comm [ e ]
+              else msgs := e :: !msgs)
+            (Graph.neighbours graph mp)
+        in
+        if Ks_sim.Net.is_corrupt (Comm.net comm) p then begin
+          match behavior with
+          | Comm.Equivocate ->
             Array.iter
               (fun np ->
-                let e = { src = p; dst = members.(np); payload = payload pk } in
-                if Ks_sim.Net.is_corrupt (Comm.net comm) p then
-                  Comm.queue_adversarial comm [ e ]
-                else msgs := e :: !msgs)
+                let dst = Aeba_coin.member group ~pos:np in
+                Comm.queue_adversarial comm
+                  [ { src = p; dst; payload = payload (equivocate_packed ~dst packed) } ])
               (Graph.neighbours graph mp)
-          in
-          if Ks_sim.Net.is_corrupt (Comm.net comm) p then begin
-            match behavior with
-            | Comm.Equivocate ->
-              Array.iter
-                (fun np ->
-                  let dst = members.(np) in
-                  Comm.queue_adversarial comm
-                    [ { src = p; dst; payload = payload (equivocate_packed ~dst packed) } ])
-                (Graph.neighbours graph mp)
-            | _ -> (
-              match corrupt_packed behavior adv_rng packed with
-              | Some pk -> send pk
-              | None -> ())
-          end
-          else send packed)
-        members)
+          | _ -> (
+            match corrupt_packed behavior adv_rng packed with
+            | Some pk -> send pk
+            | None -> ())
+        end
+        else send packed
+      done)
     nodes;
-  let inboxes = Comm.exchange comm !msgs in
-  (* tallies.(node).(member).(instance) = (ones, total) *)
-  let tallies = Hashtbl.create 64 in
-  List.iter
-    (fun node ->
-      let members = members_of node in
-      let ni = instances_of node in
-      Hashtbl.replace tallies node
-        (Array.init (Array.length members) (fun _ -> Array.make ni (0, 0))))
-    nodes;
-  List.iter
-    (fun node ->
-      let members = members_of node in
-      let graph = graph_of node in
-      let ni = instances_of node in
-      let tally = Hashtbl.find tallies node in
-      Array.iteri
-        (fun mp p ->
-          let seen = Hashtbl.create 16 in
-          List.iter
-            (fun e ->
-              match e.payload with
-              | Comm.Votes { level = ml; node = mn; packed }
-                when ml = level && mn = node && not (Hashtbl.mem seen e.src)
-                     && not (Comm.is_quarantined comm ~accuser:p ~offender:e.src)
-                -> begin
-                  (* Count only graph neighbours, once each. *)
-                  match Tree.position_of (Comm.tree comm) ~level ~node e.src with
-                  | Some sp when Graph.adjacent graph mp sp ->
-                    Hashtbl.add seen e.src ();
-                    for i = 0 to ni - 1 do
-                      match unpack_vote packed i with
-                      | Some v ->
-                        let ones, total = tally.(mp).(i) in
-                        tally.(mp).(i) <- ((ones + if v then 1 else 0), total + 1)
-                      | None -> ()
-                    done
-                  | Some _ | None -> ()
-                end
-              | _ -> ())
-            inboxes.(p))
-        members)
-    nodes;
-  tallies
+  Comm.exchange comm !msgs
 
 let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?budget
     () =
@@ -210,6 +164,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
      detection counter; the vote loop is its own retry mechanism. *)
   let quorum_shortfalls = ref 0 in
   let net = Comm.net comm in
+  let good p = not (Ks_sim.Net.is_corrupt net p) in
   let layout = Layout.make params tree in
   let levels = layout.Layout.levels in
   let adv_rng = Prng.split root in
@@ -266,18 +221,25 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
         nodes
     in
     let bin_view = Comm.open_ranges_view comm ~level ~ranges:bin_ranges in
-    (* Ballot state: votes.(node).(member).(instance). *)
+    (* Ballot state: one Algorithm 5 group per node, an instance per bit
+       of each candidate's bin choice. *)
     let ballots =
       Array.init node_count (fun j ->
-          Array.init size (fun mp ->
-              Array.init (instances_of j) (fun i ->
-                  let ci = i / bin_bits_of.(j) in
-                  let b = i mod bin_bits_of.(j) in
-                  match bin_view ~cand:cands_at.(j).(ci) ~member:mp with
-                  | Some words ->
-                    let bin = Election.bin_of_word ~num_bins:num_bins_of.(j) words.(0) in
-                    bin land (1 lsl b) <> 0
-                  | None -> false)))
+          Aeba_coin.create ~members:(members_of j) ~graph:graphs.(j)
+            ~epsilon:params.Params.epsilon
+            ~inputs:
+              (Array.init size (fun mp ->
+                   Array.init (instances_of j) (fun i ->
+                       let ci = i / bin_bits_of.(j) in
+                       let b = i mod bin_bits_of.(j) in
+                       match bin_view ~cand:cands_at.(j).(ci) ~member:mp with
+                       | Some words ->
+                         let bin =
+                           Election.bin_of_word ~num_bins:num_bins_of.(j) words.(0)
+                         in
+                         bin land (1 lsl b) <> 0
+                       | None -> false)))
+            ())
     in
     (* (b) agree on bin choices: round i's coins come from candidate i's
        block. *)
@@ -299,45 +261,42 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
         if coin_ranges = [] then fun ~cand:_ ~member:_ -> None
         else Comm.open_ranges_view comm ~level ~ranges:coin_ranges
       in
-      let tallies =
-        vote_round comm ~behavior ~adv_rng ~level ~nodes ~members_of
+      let inboxes =
+        send_ballots comm ~behavior ~adv_rng ~level ~nodes ~ballots
           ~graph_of:(fun j -> graphs.(j))
-          ~votes_of:(fun j -> ballots.(j))
-          ~instances_of
       in
       List.iter
         (fun j ->
           let members = members_of j in
-          let tally = Hashtbl.find tallies j in
-          let coin_words mp =
-            if i < Array.length cands_at.(j) then
-              coin_view ~cand:cands_at.(j).(i) ~member:mp
-            else None
+          (* Instance (ci, b) follows bit b of word ci of the member's
+             view of candidate i's coin block. *)
+          let coin mp =
+            let words =
+              if i < Array.length cands_at.(j) then
+                coin_view ~cand:cands_at.(j).(i) ~member:mp
+              else None
+            in
+            fun inst ->
+              let ci = inst / bin_bits_of.(j) in
+              let b = inst mod bin_bits_of.(j) in
+              match words with
+              | Some w when ci < Array.length w -> Some ((w.(ci) lsr b) land 1 = 1)
+              | Some _ | None -> None
           in
-          Array.iteri
-            (fun mp p ->
-              if not (Ks_sim.Net.is_corrupt net p) then begin
-                if
-                  instances_of j > 0
-                  && Array.for_all (fun (_, total) -> total = 0) tally.(mp)
-                then incr quorum_shortfalls;
-                let words = coin_words mp in
-                for inst = 0 to instances_of j - 1 do
-                  let ci = inst / bin_bits_of.(j) in
-                  let b = inst mod bin_bits_of.(j) in
-                  let coin =
-                    match words with
-                    | Some w when ci < Array.length w ->
-                      Some ((w.(ci) lsr b) land 1 = 1)
-                    | Some _ | None -> None
-                  in
-                  let ones, total = tally.(mp).(inst) in
-                  ballots.(j).(mp).(inst) <-
-                    Aeba_coin.update_vote ~epsilon:params.Params.epsilon ~eps0:0.05
-                      ~ones ~total ~coin ~current:ballots.(j).(mp).(inst)
-                done
-              end)
-            members)
+          quorum_shortfalls :=
+            !quorum_shortfalls
+            + Aeba_coin.step ballots.(j)
+                ~inbox:(fun mp -> inboxes.(members.(mp)))
+                ~ballot:(fun mp e ->
+                  match e.payload with
+                  | Comm.Votes { level = ml; node = mn; packed }
+                    when ml = level && mn = j
+                         && not
+                              (Comm.is_quarantined comm ~accuser:members.(mp)
+                                 ~offender:e.src) ->
+                    Some packed
+                  | _ -> None)
+                ~vote:unpack_vote ~coin ~good)
         nodes
     done;
     (* (c) winners per member view, canonical by plurality of good views. *)
@@ -352,7 +311,8 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
                 Array.init r (fun ci ->
                     let bin = ref 0 in
                     for b = 0 to bin_bits_of.(j) - 1 do
-                      if ballots.(j).(mp).((ci * bin_bits_of.(j)) + b) then
+                      if (Aeba_coin.member_votes ballots.(j) ~pos:mp).((ci * bin_bits_of.(j)) + b)
+                      then
                         bin := !bin lor (1 lsl b)
                     done;
                     !bin)
@@ -424,10 +384,15 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
   let root_cands = Array.concat (Array.to_list !winners_by_node) in
   Log.debug (fun m ->
       m "root instance: %d surviving arrays feed the coins" (Array.length root_cands));
-  let votes = Array.copy inputs in
   let root_graph =
     Graph.random_regular graph_rng ~n
       ~degree:(Stdlib.min params.Params.aeba_degree (n - 1))
+  in
+  let root_group =
+    Aeba_coin.create ~members:(Array.init n Fun.id) ~graph:root_graph
+      ~epsilon:params.Params.epsilon
+      ~inputs:(Array.map (fun v -> [| v |]) inputs)
+      ()
   in
   let root_rounds =
     Stdlib.min (Stdlib.max 1 (Array.length root_cands)) params.Params.aeba_rounds
@@ -442,6 +407,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
     in
     let msgs = ref [] in
     for p = 0 to n - 1 do
+      let vote = (Aeba_coin.member_votes root_group ~pos:p).(0) in
       let send v =
         Array.iter
           (fun np ->
@@ -454,10 +420,10 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
       in
       if Ks_sim.Net.is_corrupt net p then begin
         match behavior with
-        | Comm.Follow -> send votes.(p)
+        | Comm.Follow -> send vote
         | Comm.Silent -> ()
         | Comm.Garbage -> send (Prng.bool adv_rng)
-        | Comm.Flip -> send (not votes.(p))
+        | Comm.Flip -> send (not vote)
         | Comm.Equivocate ->
           (* Conflicting root votes: the honest vote to even neighbours,
              its negation to odd ones. *)
@@ -468,68 +434,37 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
                     payload =
                       Comm.Vote
                         { level = levels; node = 0; ba = 0;
-                          vote = (if np land 1 = 0 then votes.(p) else not votes.(p)) } } ])
+                          vote = (if np land 1 = 0 then vote else not vote) } } ])
             (Graph.neighbours root_graph p)
       end
-      else send votes.(p)
+      else send vote
     done;
     let inboxes = Comm.exchange comm !msgs in
-    let next = Array.copy votes in
-    for p = 0 to n - 1 do
-      if not (Ks_sim.Net.is_corrupt net p) then begin
-        let seen = Hashtbl.create 64 in
-        let ones = ref 0 and total = ref 0 in
-        List.iter
-          (fun e ->
+    quorum_shortfalls :=
+      !quorum_shortfalls
+      + Aeba_coin.step root_group
+          ~inbox:(fun p -> inboxes.(p))
+          ~ballot:(fun p e ->
             match e.payload with
             | Comm.Vote { level = ml; vote; _ }
-              when ml = levels && not (Hashtbl.mem seen e.src)
-                   && Graph.adjacent root_graph p e.src
-                   && not (Comm.is_quarantined comm ~accuser:p ~offender:e.src) ->
-              Hashtbl.add seen e.src ();
-              incr total;
-              if vote then incr ones
-            | _ -> ())
-          inboxes.(p);
-        if !total = 0 then incr quorum_shortfalls;
-        let coin =
-          if Array.length root_cands = 0 then None
-          else
-            match
-              coin_view ~cand:root_cands.(i mod Array.length root_cands) ~member:p
-            with
-            | Some w -> Some (w.(0) land 1 = 1)
-            | None -> None
-        in
-        next.(p) <-
-          Aeba_coin.update_vote ~epsilon:params.Params.epsilon ~eps0:0.05 ~ones:!ones
-            ~total:!total ~coin ~current:votes.(p)
-      end
-    done;
-    Array.blit next 0 votes 0 n
+              when ml = levels && not (Comm.is_quarantined comm ~accuser:p ~offender:e.src) ->
+              Some vote
+            | _ -> None)
+          ~vote:(fun v _ -> Some v)
+          ~coin:(fun p ->
+            let coin =
+              if Array.length root_cands = 0 then None
+              else
+                match
+                  coin_view ~cand:root_cands.(i mod Array.length root_cands) ~member:p
+                with
+                | Some w -> Some (w.(0) land 1 = 1)
+                | None -> None
+            in
+            fun _ -> coin)
+          ~good
   done;
-  (* Outcome metrics over the good processors. *)
-  let good p = not (Ks_sim.Net.is_corrupt net p) in
-  let ones = ref 0 and total = ref 0 in
-  for p = 0 to n - 1 do
-    if good p then begin
-      incr total;
-      if votes.(p) then incr ones
-    end
-  done;
-  let majority = 2 * !ones >= !total in
-  let agreement =
-    if !total = 0 then 1.0
-    else
-      float_of_int (Stdlib.max !ones (!total - !ones)) /. float_of_int !total
-  in
-  let valid =
-    let found = ref false in
-    for p = 0 to n - 1 do
-      if good p && inputs.(p) = majority then found := true
-    done;
-    !found
-  in
+  let verdict = Aeba_coin.verdict root_group ~good in
   (* §3.5: the lazily opened coin subsequence for the everywhere phase. *)
   let coin_cache : (int, int option array) Hashtbl.t = Hashtbl.create 16 in
   let coin_view ~iteration p =
@@ -557,10 +492,10 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
     end
   in
   {
-    votes;
-    agreement;
-    majority;
-    valid;
+    votes = Aeba_coin.votes root_group;
+    agreement = verdict.agreement;
+    majority = verdict.majority;
+    valid = verdict.valid;
     elections = List.rev !elections;
     root_candidates = root_cands;
     quorum_shortfalls = !quorum_shortfalls;

@@ -1,5 +1,6 @@
 module Graph = Ks_topology.Graph
 module Prng = Ks_stdx.Prng
+open Ks_sim.Types
 
 type t = {
   members : int array;
@@ -7,30 +8,52 @@ type t = {
   graph : Graph.t;
   epsilon : float;
   eps0 : float;
-  votes : bool array;
+  inputs : bool array;  (* instance 0's inputs, for validity *)
+  votes : bool array array;  (* votes.(pos).(instance) *)
+  (* Tally scratch: [seen.(spos) = stamp] once the member being tallied
+     has counted [spos]'s ballot; per-instance counts. *)
+  seen : int array;
+  mutable stamp : int;
+  ones : int array;
+  total : int array;
 }
 
 let create ~members ~graph ~inputs ~epsilon ?(eps0 = 0.05) () =
   let m = Array.length members in
   if Graph.n graph <> m then invalid_arg "Aeba_coin.create: graph size mismatch";
   if Array.length inputs <> m then invalid_arg "Aeba_coin.create: inputs size mismatch";
+  let k = if m = 0 then 0 else Array.length inputs.(0) in
+  if Array.exists (fun row -> Array.length row <> k) inputs then
+    invalid_arg "Aeba_coin.create: ragged inputs";
   let pos_of = Hashtbl.create (2 * m) in
   Array.iteri (fun pos p -> Hashtbl.replace pos_of p pos) members;
-  { members; pos_of; graph; epsilon; eps0; votes = Array.copy inputs }
+  {
+    members;
+    pos_of;
+    graph;
+    epsilon;
+    eps0;
+    inputs = (if k = 0 then [||] else Array.map (fun row -> row.(0)) inputs);
+    votes = Array.map Array.copy inputs;
+    seen = Array.make m (-1);
+    stamp = 0;
+    ones = Array.make k 0;
+    total = Array.make k 0;
+  }
 
 let member_count t = Array.length t.members
 let member t ~pos = t.members.(pos)
 let position_of t p = Hashtbl.find_opt t.pos_of p
-let vote t ~pos = t.votes.(pos)
-let votes t = Array.copy t.votes
+let member_votes t ~pos = t.votes.(pos)
+let votes t = Array.map (fun ballot -> ballot.(0)) t.votes
 
 let outgoing t =
   let out = ref [] in
   for pos = Array.length t.members - 1 downto 0 do
     let src = t.members.(pos) in
-    let v = t.votes.(pos) in
+    let payload = t.votes.(pos).(0) in
     Array.iter
-      (fun npos -> out := (src, t.members.(npos), v) :: !out)
+      (fun npos -> out := { src; dst = t.members.(npos); payload } :: !out)
       (Graph.neighbours t.graph pos)
   done;
   !out
@@ -48,44 +71,82 @@ let update_vote ~epsilon ~eps0 ~ones ~total ~coin ~current =
     else match coin with Some c -> c | None -> maj
   end
 
-let step t ~received ~coin ~good =
-  let m = Array.length t.members in
-  let next = Array.copy t.votes in
-  for pos = 0 to m - 1 do
-    if good t.members.(pos) then begin
-      (* Count at most one vote per graph neighbour (flooding defence:
-         later duplicates and non-neighbours are discarded). *)
-      let seen = Hashtbl.create 16 in
-      let ones = ref 0 and total = ref 0 in
-      List.iter
-        (fun (src, v) ->
-          match Hashtbl.find_opt t.pos_of src with
-          | Some spos
-            when Graph.adjacent t.graph pos spos && not (Hashtbl.mem seen src) ->
-            Hashtbl.add seen src ();
-            incr total;
-            if v then incr ones
-          | Some _ | None -> ())
-        (received pos);
-      next.(pos) <-
-        update_vote ~epsilon:t.epsilon ~eps0:t.eps0 ~ones:!ones ~total:!total
-          ~coin:(coin pos) ~current:t.votes.(pos)
-    end
-  done;
-  Array.blit next 0 t.votes 0 m
+let step t ~inbox ~ballot ~vote ~coin ~good =
+  let k = Array.length t.ones in
+  let shortfalls = ref 0 in
+  Array.iteri
+    (fun pos p ->
+      if good p then begin
+        (* Count at most one ballot per graph neighbour (flooding defence:
+           later duplicates and non-neighbours are discarded). *)
+        t.stamp <- t.stamp + 1;
+        Array.fill t.ones 0 k 0;
+        Array.fill t.total 0 k 0;
+        List.iter
+          (fun e ->
+            match ballot pos e with
+            | None -> ()
+            | Some b -> (
+              match Hashtbl.find_opt t.pos_of e.src with
+              | Some spos when Graph.adjacent t.graph pos spos && t.seen.(spos) <> t.stamp ->
+                t.seen.(spos) <- t.stamp;
+                for i = 0 to k - 1 do
+                  match vote b i with
+                  | Some v ->
+                    t.total.(i) <- t.total.(i) + 1;
+                    if v then t.ones.(i) <- t.ones.(i) + 1
+                  | None -> ()
+                done
+              | Some _ | None -> ()))
+          (inbox pos);
+        if k > 0 && Array.for_all (fun c -> c = 0) t.total then incr shortfalls;
+        let coin = coin pos in
+        let votes = t.votes.(pos) in
+        for i = 0 to k - 1 do
+          votes.(i) <-
+            update_vote ~epsilon:t.epsilon ~eps0:t.eps0 ~ones:t.ones.(i)
+              ~total:t.total.(i) ~coin:(coin i) ~current:votes.(i)
+        done
+      end)
+    t.members;
+  !shortfalls
 
-let agreement_fraction t ~good =
+type verdict = { agreement : float; majority : bool; valid : bool }
+
+let verdict t ~good =
   let ones = ref 0 and total = ref 0 in
   Array.iteri
     (fun pos p ->
       if good p then begin
         incr total;
-        if t.votes.(pos) then incr ones
+        if t.votes.(pos).(0) then incr ones
       end)
     t.members;
-  if !total = 0 then 1.0
-  else
-    float_of_int (Stdlib.max !ones (!total - !ones)) /. float_of_int !total
+  let majority = 2 * !ones >= !total in
+  {
+    agreement =
+      (if !total = 0 then 1.0
+       else float_of_int (Stdlib.max !ones (!total - !ones)) /. float_of_int !total);
+    majority;
+    (* The committed bit must be some good member's input. *)
+    valid = Array.exists2 (fun p input -> good p && input = majority) t.members t.inputs;
+  }
+
+let play net t ~rounds ~coin =
+  let good p = not (Ks_sim.Net.is_corrupt net p) in
+  for _ = 1 to rounds do
+    let inboxes = Ks_sim.Net.exchange net (outgoing t) in
+    let view = coin () in
+    ignore
+      (step t
+         ~inbox:(fun pos -> inboxes.(t.members.(pos)))
+         ~ballot:(fun _ e -> Some e.payload)
+         ~vote:(fun v _ -> Some v)
+         ~coin:(fun pos ->
+           let c = view pos in
+           fun _ -> c)
+         ~good)
+  done
 
 type coin_source = Ideal | Unreliable of float | Adversarial_known
 
@@ -107,59 +168,34 @@ let run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget ~inputs ~strategy
   in
   let rng = Ks_sim.Net.rng net in
   let graph = Graph.random_regular rng ~n ~degree:(Stdlib.min degree (n - 1)) in
-  let members = Array.init n (fun i -> i) in
-  let inst = create ~members ~graph ~inputs ~epsilon () in
+  let inst =
+    create ~members:(Array.init n Fun.id) ~graph
+      ~inputs:(Array.map (fun v -> [| v |]) inputs)
+      ~epsilon ()
+  in
   let coin_rng = Prng.split rng in
   let miss_rng = Prng.split rng in
-  for round = 0 to rounds - 1 do
-    let msgs =
-      List.map
-        (fun (src, dst, v) -> { Ks_sim.Types.src; dst; payload = v })
-        (outgoing inst)
-    in
-    let inboxes = Ks_sim.Net.exchange net msgs in
-    let common = Prng.bool coin_rng in
-    (match coin with
-     | Adversarial_known -> leak ~round common
-     | Ideal | Unreliable _ -> ());
-    let coin_view =
+  let round = ref 0 in
+  play net inst ~rounds ~coin:(fun () ->
+      let c = Prng.bool coin_rng in
+      (match coin with
+       | Adversarial_known -> leak ~round:!round c
+       | Ideal | Unreliable _ -> ());
+      incr round;
+      let common = Some c in
       match coin with
-      | Ideal | Adversarial_known -> fun _pos -> Some common
+      | Ideal | Adversarial_known -> fun _pos -> common
       | Unreliable miss ->
         (* Draw per-position misses deterministically for the round. *)
         let missed = Array.init n (fun _ -> Prng.bernoulli miss_rng miss) in
-        fun pos -> if missed.(pos) then None else Some common
-    in
-    let received pos =
-      List.map
-        (fun e -> (e.Ks_sim.Types.src, e.Ks_sim.Types.payload))
-        inboxes.(members.(pos))
-    in
-    step inst ~received ~coin:coin_view ~good:(fun p -> not (Ks_sim.Net.is_corrupt net p))
-  done;
-  let good p = not (Ks_sim.Net.is_corrupt net p) in
-  let agreement = agreement_fraction inst ~good in
-  let good_votes =
-    List.filter_map
-      (fun p -> if good p then Some inst.votes.(p) else None)
-      (List.init n (fun i -> i))
-  in
-  let ones = List.length (List.filter (fun v -> v) good_votes) in
-  let total = List.length good_votes in
-  let majority = 2 * ones >= total in
-  let decided = Some majority in
-  let valid =
-    (* The committed bit must be some good processor's input. *)
-    Array.exists2
-      (fun input p -> good p && input = majority)
-      inputs (Array.init n (fun i -> i))
-  in
+        fun pos -> if missed.(pos) then None else common);
+  let v = verdict inst ~good:(fun p -> not (Ks_sim.Net.is_corrupt net p)) in
   Ks_sim.Net.emit_meter net;
   {
     final_votes = votes inst;
-    agreement;
-    decided;
-    valid;
+    agreement = v.agreement;
+    decided = Some v.majority;
+    valid = v.valid;
     rounds_run = rounds;
     max_sent_bits =
       Ks_sim.Meter.max_sent_bits (Ks_sim.Net.meter net) ~over:(Ks_sim.Net.good_procs net);

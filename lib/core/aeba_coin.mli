@@ -10,26 +10,33 @@
     converge on one good input bit, failing with probability ≈ 2^−r in
     [r] good-coin rounds (Theorem 5).
 
-    The module has two faces:
+    This module is the only place that tallies votes and applies the
+    rule.  An instance group {!t} holds [k] vote instances per member,
+    all on one graph:
 
-    - a {e composable core} ({!t}, {!outgoing}, {!step}) driven by an
-      external orchestrator — [Ks_core.Ae_ba] runs many instances in
-      lockstep inside tree nodes, feeding coins opened from elected
-      arrays;
-    - a {e standalone runner} ({!run_standalone}) on its own network,
-      used by the T4 experiment and the tests, with the coin abstracted
-      as a callback (ideal, unreliable or adversarially leaked). *)
+    - [Ks_core.Ae_ba]'s tournament keeps one group per election node
+      ([k] = candidates × bin bits, one instance per bit of a bin choice)
+      and one single-instance group for the root agreement on the
+      protocol inputs.  It sends its own ballots (bit-packed, under the
+      corrupted members' behaviour policy) on the tree's network, opens
+      the coins from elected arrays, and hands both to {!step};
+    - {!play} is the round loop of a single-instance group on its own
+      network (send every vote, exchange, draw the coin, {!step}).  It
+      serves {!run_standalone} (used by T4 and the tests, the coin an
+      ideal or unreliable oracle) and Rabin's all-to-all baseline
+      ([Ks_baselines.Rabin], the complete graph with an ideal coin). *)
 
 type t
 
 (** [create ~members ~graph ~inputs ~epsilon ?eps0 ()] — [members.(pos)]
     is the global processor at position [pos]; [graph] connects
-    positions; [inputs.(pos)] is the initial vote.  [eps0] is the slack
+    positions; [inputs.(pos)] holds the position's initial votes, one per
+    instance (every row has the same length [k]).  [eps0] is the slack
     constant ε₀ of the informed-fraction test (default 0.05). *)
 val create :
   members:int array ->
   graph:Ks_topology.Graph.t ->
-  inputs:bool array ->
+  inputs:bool array array ->
   epsilon:float ->
   ?eps0:float ->
   unit ->
@@ -43,41 +50,55 @@ val member : t -> pos:int -> int
 (** [position_of t proc] — position of a processor, if a member. *)
 val position_of : t -> int -> int option
 
-(** [vote t ~pos] — the position's current vote. *)
-val vote : t -> pos:int -> bool
+(** [member_votes t ~pos] — the position's current votes, one per
+    instance: the live array, which only {!step} may change. *)
+val member_votes : t -> pos:int -> bool array
 
-(** [votes t] — snapshot of all current votes (corrupt positions hold
-    their last honest value; the adversary speaks for them on the wire,
-    not in this array). *)
+(** [votes t] — snapshot of every position's instance-0 vote (the only
+    instance when [k] = 1).  Corrupt positions hold their last honest
+    value; the adversary speaks for them on the wire, not here. *)
 val votes : t -> bool array
 
-(** [outgoing t] — the vote messages every position would send this
-    round, as [(src_proc, dst_proc, vote)] triples.  The caller wraps
-    them in its own message type; the network layer discards entries for
-    corrupted sources. *)
-val outgoing : t -> (int * int * bool) list
+(** [outgoing t] — the messages of one round of a single-instance
+    group: every position's instance-0 vote to each graph neighbour,
+    positions in order.  The network discards entries of corrupted
+    sources. *)
+val outgoing : t -> bool Ks_sim.Types.envelope list
 
-(** [step t ~received ~coin ~good] — apply one round.  [received pos] is
-    the list of [(src_proc, vote)] pairs addressed to that position
-    (already restricted to this instance by the orchestrator; votes from
-    non-neighbours are discarded here — flooding defence).  [coin pos]
-    is the position's view of the round's global coin, [None] when the
-    coin never reached it (it then keeps the majority value regardless of
-    the fraction test).  Only positions with [good] true are updated. *)
+(** [step t ~inbox ~ballot ~vote ~coin ~good] — apply one round to every
+    good member (processor ids for which [good] holds).
+
+    [inbox pos] is the list of messages delivered to the member at
+    [pos]; [ballot pos e] reads the ballot of this group out of [e],
+    [None] when [e] is not one or the member refuses it (say, its sender
+    is quarantined).  At most one ballot per graph neighbour is counted:
+    ballots from non-members, from non-neighbours and a sender's repeats
+    are discarded (flooding defence).  [vote b i] is instance [i]'s vote
+    in ballot [b], [None] when the ballot does not carry it.
+
+    [coin pos] is applied once per good member, after its tally; [coin
+    pos i] is then that member's view of instance [i]'s global coin,
+    [None] when the coin never reached it (it keeps the majority value
+    regardless of the fraction test).
+
+    Returns the quorum shortfall: the number of good members of a group
+    with [k] > 0 that counted no vote in any instance. *)
 val step :
   t ->
-  received:(int -> (int * bool) list) ->
-  coin:(int -> bool option) ->
+  inbox:(int -> 'm Ks_sim.Types.envelope list) ->
+  ballot:(int -> 'm Ks_sim.Types.envelope -> 'b option) ->
+  vote:('b -> int -> bool option) ->
+  coin:(int -> int -> bool option) ->
   good:(int -> bool) ->
-  unit
+  int
 
 (** [update_vote ~epsilon ~eps0 ~ones ~total ~coin ~current] — the bare
-    vote-update rule of Algorithm 5 (steps 3–7), shared with the
-    orchestrated elections of [Ks_core.Ae_ba]: adopt the majority of the
-    [total] received votes ([ones] of them for 1) when its fraction
-    clears [(1 − eps0)(2/3 + epsilon/2)], otherwise follow [coin] (or
-    keep the majority when the coin never arrived).  [current] is
-    returned when no votes arrived at all. *)
+    vote-update rule of Algorithm 5 (steps 3–7) that {!step} applies to
+    each instance: adopt the majority of the [total] received votes
+    ([ones] of them for 1) when its fraction clears [(1 − eps0)(2/3 +
+    epsilon/2)], otherwise follow [coin] (or keep the majority when the
+    coin never arrived).  [current] is returned when no votes arrived at
+    all. *)
 val update_vote :
   epsilon:float ->
   eps0:float ->
@@ -87,10 +108,24 @@ val update_vote :
   current:bool ->
   bool
 
-(** [agreement_fraction t ~good] — largest fraction of good positions
-    sharing one vote: the "all but C₂n/log n agree" metric of
-    Theorem 5. *)
-val agreement_fraction : t -> good:(int -> bool) -> float
+(** Instance 0's outcome over the good members. *)
+type verdict = {
+  agreement : float;
+      (** largest fraction of good members sharing one vote (1 when there
+          are none): the "all but C₂n/log n agree" metric of Theorem 5 *)
+  majority : bool;  (** the majority good vote, 1 on a tie *)
+  valid : bool;  (** [majority] was some good member's input *)
+}
+
+(** [verdict t ~good] — instance 0's verdict; [k] must be at least 1. *)
+val verdict : t -> good:(int -> bool) -> verdict
+
+(** [play net t ~rounds ~coin] — [rounds] rounds of a single-instance
+    group on its own network: each round sends {!outgoing}, exchanges on
+    [net], asks [coin ()] for the round's per-position coin view and
+    applies {!step}; [net]'s corrupted processors are the bad members. *)
+val play :
+  bool Ks_sim.Net.t -> t -> rounds:int -> coin:(unit -> int -> bool option) -> unit
 
 (** How the standalone runner models GetGlobalCoin. *)
 type coin_source =
@@ -115,9 +150,10 @@ type outcome = {
   max_sent_bits : int;  (** over good participants *)
 }
 
-(** [run_standalone ~seed ~n ~degree ~rounds ~epsilon ~inputs ~strategy
-    ~coin ()] builds a fresh network and graph and plays the algorithm.
-    [leak] receives each round's coin as soon as it is drawn when [coin =
+(** [run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget ~inputs
+    ~strategy ~coin ()] builds a fresh network and a random
+    [degree]-regular graph and {!play}s the algorithm on it.  [leak]
+    receives each round's coin as soon as it is drawn when [coin =
     Adversarial_known] (the default ignores it). *)
 val run_standalone :
   seed:int64 ->

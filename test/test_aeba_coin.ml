@@ -20,7 +20,7 @@ let test_update_vote_rule () =
 let mk_instance ?(n = 12) ?(degree = 6) ~inputs () =
   let graph = Graph.random_regular (Prng.create 4L) ~n ~degree in
   let members = Array.init n (fun i -> 100 + i) in
-  (members, Aeba.create ~members ~graph ~inputs:(Array.init n inputs) ~epsilon:0.1 ())
+  (members, Aeba.create ~members ~graph ~inputs:(Array.init n (fun i -> [| inputs i |])) ~epsilon:0.1 ())
 
 let test_instance_accessors () =
   let members, inst = mk_instance ~inputs:(fun i -> i mod 2 = 0) () in
@@ -28,18 +28,31 @@ let test_instance_accessors () =
   Alcotest.(check int) "member id" 103 (Aeba.member inst ~pos:3);
   Alcotest.(check (option int)) "position" (Some 3) (Aeba.position_of inst members.(3));
   Alcotest.(check (option int)) "stranger" None (Aeba.position_of inst 999);
-  Alcotest.(check bool) "vote" true (Aeba.vote inst ~pos:0)
+  Alcotest.(check bool) "vote" true (Aeba.votes inst).(0)
 
 let test_outgoing_covers_edges () =
   let _, inst = mk_instance ~inputs:(fun _ -> true) () in
   let out = Aeba.outgoing inst in
   List.iter
-    (fun (src, dst, v) ->
+    (fun { Ks_sim.Types.src; dst; payload = v } ->
       Alcotest.(check bool) "vote payload" true v;
       Alcotest.(check bool) "ids in member space" true (src >= 100 && dst >= 100))
     out;
   (* Each position sends exactly its degree. *)
   Alcotest.(check bool) "non-empty" true (List.length out > 0)
+
+(* One single-instance round without coins: [received pos] lists the
+   (sender, vote) pairs delivered to position [pos]. *)
+let step inst ~received =
+  ignore
+    (Aeba.step inst
+       ~inbox:(fun pos ->
+         List.map
+           (fun (src, payload) -> { Ks_sim.Types.src; dst = Aeba.member inst ~pos; payload })
+           (received pos))
+       ~ballot:(fun _ e -> Some e.Ks_sim.Types.payload)
+       ~vote:(fun v _ -> Some v)
+       ~coin:(fun _ _ -> None) ~good:(fun _ -> true))
 
 let test_step_ignores_non_neighbours () =
   let members, inst = mk_instance ~inputs:(fun _ -> false) () in
@@ -47,9 +60,9 @@ let test_step_ignores_non_neighbours () =
   let received pos =
     if pos = 0 then List.init 50 (fun _ -> (424242, true)) else []
   in
-  Aeba.step inst ~received ~coin:(fun _ -> None) ~good:(fun _ -> true);
+  step inst ~received;
   ignore members;
-  Alcotest.(check bool) "flood ignored" false (Aeba.vote inst ~pos:0)
+  Alcotest.(check bool) "flood ignored" false (Aeba.votes inst).(0)
 
 let test_step_counts_once_per_sender () =
   let members, inst = mk_instance ~inputs:(fun _ -> false) () in
@@ -67,11 +80,11 @@ let test_step_counts_once_per_sender () =
       @ [ (members.(2), false); (members.(3), false); (members.(4), false) ]
     else []
   in
-  Aeba.step inst ~received ~coin:(fun _ -> None) ~good:(fun _ -> true);
+  step inst ~received;
   (* Whether members 1..4 are neighbours of 0 depends on the graph; the
      point is the repeated sender contributes at most one vote, so true
      can never reach a 2/3 fraction. *)
-  Alcotest.(check bool) "duplicates collapsed" false (Aeba.vote inst ~pos:0)
+  Alcotest.(check bool) "duplicates collapsed" false (Aeba.votes inst).(0)
 
 let run ?(coin = Aeba.Ideal) ?(budget = 0) ?(fraction_one = 0.5) ?(rounds = 12)
     ?(strategy = Ks_sim.Adversary.none) ~n () =
@@ -128,10 +141,11 @@ let test_adversarial_known_leaks () =
 
 let test_agreement_fraction_metric () =
   let _, inst = mk_instance ~inputs:(fun i -> i < 9) () in
-  Alcotest.(check (float 1e-9)) "9 of 12" 0.75 (Aeba.agreement_fraction inst ~good:(fun _ -> true));
+  let agreement good = (Aeba.verdict inst ~good).Aeba.agreement in
+  Alcotest.(check (float 1e-9)) "9 of 12" 0.75 (agreement (fun _ -> true));
   (* Excluding the minority as corrupt gives full agreement. *)
   Alcotest.(check (float 1e-9)) "good subset" 1.0
-    (Aeba.agreement_fraction inst ~good:(fun p -> p < 109))
+    (agreement (fun p -> p < 109))
 
 let () =
   Alcotest.run "aeba_coin"
