@@ -983,7 +983,12 @@ let tables ?trace ~quick () =
     table ~monitors:none "t14" ~title:"T14: practical vs theoretical parameter profiles"
       ~headers:[ "n"; "practical"; "theoretical (paper formulas)"; "self-consistent" ]
       t14_parameters;
-    table "t15"
+    (* T15 runs MMR'14's asynchronous BA, which sends all-to-all and is
+       not claimed to meet Theorem 1's King-Saia bit and round envelopes
+       (its starved rows overrun the bit envelope), so only the budget
+       invariant is enforced: the net must report no more corruptions
+       than its f equivocators. *)
+    table ~monitors:budget_only "t15"
       ~title:
         "T15 (§6 open problem): async binary BA with a common-coin oracle, \
          equivocating f=(n-2)/3"
