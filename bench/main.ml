@@ -37,7 +37,7 @@ let aeba_coin_kernel ~n ~seed () =
   Ks_core.Aeba_coin.run_standalone ~seed ~n ~degree:params.Params.aeba_degree
     ~rounds:8 ~epsilon:params.Params.epsilon ~budget:(n / 4) ~inputs
     ~strategy:(Ks_attacks.byzantine_static.vote ~params)
-    ~coin:Ks_core.Aeba_coin.Ideal ()
+    ~coin:Ks_core.Aeba_coin.Ideal
 
 let a2e_kernel ~n ~seed () =
   let params = Params.practical n in

@@ -40,7 +40,7 @@ let run_field ~signal ~seed =
   Aeba.run_standalone ~seed ~n ~degree:params.Params.aeba_degree
     ~rounds:14 ~epsilon:params.Params.epsilon ~budget:(n * 3 / 20) ~inputs
     ~strategy:(Ks_attacks.byzantine_static.vote ~params)
-    ~coin:Aeba.Ideal ()
+    ~coin:Aeba.Ideal
 
 let () =
   Printf.printf
@@ -51,12 +51,7 @@ let () =
   List.iter
     (fun (signal, guarantee) ->
       let o = run_field ~signal ~seed:(Int64.of_float ((signal +. 0.01) *. 1000.0)) in
-      let verdict =
-        match o.Aeba.decided with
-        | Some true -> "INTRUSION"
-        | Some false -> "quiet"
-        | None -> "split"
-      in
+      let verdict = if o.Aeba.decided then "INTRUSION" else "quiet" in
       Printf.printf "%-14s %-12s %-12s %-10b %-12d %s\n"
         (Printf.sprintf "%.0f%% fired" (100.0 *. signal))
         (Printf.sprintf "%.1f%%" (100.0 *. o.Aeba.agreement))

@@ -148,19 +148,18 @@ let play net t ~rounds ~coin =
          ~good)
   done
 
-type coin_source = Ideal | Unreliable of float | Adversarial_known
+type coin_source = Ideal | Unreliable of float
 
 type outcome = {
   final_votes : bool array;
   agreement : float;
-  decided : bool option;
+  decided : bool;
   valid : bool;
   rounds_run : int;
   max_sent_bits : int;
 }
 
-let run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget ~inputs ~strategy
-    ~coin ?(leak = fun ~round:_ _ -> ()) () =
+let run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget ~inputs ~strategy ~coin =
   if Array.length inputs <> n then invalid_arg "Aeba_coin.run_standalone: inputs";
   let net =
     Ks_sim.Net.create ~label:"aeba" ~seed ~n ~budget ~msg_bits:(fun _vote -> 1)
@@ -175,16 +174,10 @@ let run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget ~inputs ~strategy
   in
   let coin_rng = Prng.split rng in
   let miss_rng = Prng.split rng in
-  let round = ref 0 in
   play net inst ~rounds ~coin:(fun () ->
-      let c = Prng.bool coin_rng in
-      (match coin with
-       | Adversarial_known -> leak ~round:!round c
-       | Ideal | Unreliable _ -> ());
-      incr round;
-      let common = Some c in
+      let common = Some (Prng.bool coin_rng) in
       match coin with
-      | Ideal | Adversarial_known -> fun _pos -> common
+      | Ideal -> fun _pos -> common
       | Unreliable miss ->
         (* Draw per-position misses deterministically for the round. *)
         let missed = Array.init n (fun _ -> Prng.bernoulli miss_rng miss) in
@@ -194,7 +187,7 @@ let run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget ~inputs ~strategy
   {
     final_votes = votes inst;
     agreement = v.agreement;
-    decided = Some v.majority;
+    decided = v.majority;
     valid = v.valid;
     rounds_run = rounds;
     max_sent_bits =

@@ -133,28 +133,20 @@ type coin_source =
   | Unreliable of float
       (** each participant independently misses the common coin with the
           given probability (receives [None]) *)
-  | Adversarial_known
-      (** the common coin is drawn but published to the adversary one
-          round early (strategy closures can read it via
-          [last_leaked_coin]); models broken secrecy of the arrays *)
 
 (** Result of a standalone run. *)
 type outcome = {
   final_votes : bool array;
   agreement : float;  (** agreement fraction among good participants *)
-  decided : bool option;
-      (** the common vote if agreement is total among good, else the
-          majority good vote *)
+  decided : bool;  (** the majority good vote *)
   valid : bool;  (** decided value was some good participant's input *)
   rounds_run : int;
   max_sent_bits : int;  (** over good participants *)
 }
 
 (** [run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget ~inputs
-    ~strategy ~coin ()] builds a fresh network and a random
-    [degree]-regular graph and {!play}s the algorithm on it.  [leak]
-    receives each round's coin as soon as it is drawn when [coin =
-    Adversarial_known] (the default ignores it). *)
+    ~strategy ~coin] builds a fresh network and a random [degree]-regular
+    graph and {!play}s the algorithm on it. *)
 val run_standalone :
   seed:int64 ->
   n:int ->
@@ -165,6 +157,4 @@ val run_standalone :
   inputs:bool array ->
   strategy:bool Ks_sim.Types.strategy ->
   coin:coin_source ->
-  ?leak:(round:int -> bool -> unit) ->
-  unit ->
   outcome

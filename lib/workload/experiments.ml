@@ -234,7 +234,7 @@ let t4_aeba_coins ~n ~trials =
       let o =
         Ks_core.Aeba_coin.run_standalone ~seed ~n ~degree ~rounds ~epsilon ~budget
           ~inputs:(Inputs.generate (Prng.create seed) ~n inputs)
-          ~strategy:vote ~coin ()
+          ~strategy:vote ~coin
       in
       if o.Ks_core.Aeba_coin.agreement >= target && o.Ks_core.Aeba_coin.valid then
         incr ok
@@ -275,7 +275,6 @@ let t4_aeba_coins ~n ~trials =
         ("ideal coin", Ks_core.Aeba_coin.Ideal);
         ("coin missed 10%", Ks_core.Aeba_coin.Unreliable 0.1);
         ("coin missed 30%", Ks_core.Aeba_coin.Unreliable 0.3);
-        ("coin leaked to adversary", Ks_core.Aeba_coin.Adversarial_known);
       ]
   in
   (* Part D — the validity boundary at sparse degree: unanimous inputs
