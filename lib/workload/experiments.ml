@@ -100,6 +100,11 @@ let slope pts sel =
   fst (Stats.loglog_slope ns ys)
 
 let t1_bits pts =
+  (* The Õ(√n) law, made visible: amplification bits divided by
+     √n·log₂ n should be near-constant across the sweep (slope n^0). *)
+  let normalised p =
+    p.ks_a2e_bits /. (sqrt (float_of_int p.n) *. float_of_int (Intmath.ceil_log2 p.n))
+  in
   let rows =
     List.map
       (fun p ->
@@ -107,6 +112,7 @@ let t1_bits pts =
           Table.fint p.n;
           Table.fbits p.ks_ae_bits;
           Table.fbits p.ks_a2e_bits;
+          Printf.sprintf "%.0f b" (normalised p);
           Table.fbits p.ks_total_bits;
           Table.fbits p.rabin_bits;
           Table.fbits p.king_bits;
@@ -119,29 +125,14 @@ let t1_bits pts =
       "slope";
       Printf.sprintf "n^%.2f" (slope pts (fun p -> p.ks_ae_bits));
       Printf.sprintf "n^%.2f" (slope pts (fun p -> p.ks_a2e_bits));
+      Printf.sprintf "n^%.2f" (slope pts normalised);
       Printf.sprintf "n^%.2f" (slope pts (fun p -> p.ks_total_bits));
       Printf.sprintf "n^%.2f" (slope pts (fun p -> p.rabin_bits));
       Printf.sprintf "n^%.2f" (slope pts (fun p -> p.king_bits));
       "";
     ]
   in
-  (* The Õ(√n) law, made visible: amplification bits divided by
-     √n·log₂ n should be near-constant across the sweep. *)
-  let normalised =
-    "amplify/(sqrt n * lg n)"
-    :: List.map
-         (fun p ->
-           let norm =
-             p.ks_a2e_bits
-             /. (sqrt (float_of_int p.n)
-                 *. float_of_int (Intmath.ceil_log2 p.n))
-           in
-           Printf.sprintf "%.0f b" norm)
-         pts
-    @ List.init (6 - List.length pts) (fun _ -> "")
-  in
-  let normalised = List.filteri (fun i _ -> i < 7) normalised in
-  rows @ [ footer; normalised ]
+  rows @ [ footer ]
 
 let t2_latency pts =
   List.map
@@ -918,7 +909,9 @@ let tables ?trace ~quick () =
   let t13_n = pick ~quick:128 ~full:256 in
   [
     scaling "t1" ~title:"T1 (Thm 1): max bits sent per good processor"
-      ~headers:[ "n"; "KS tournament"; "KS amplify"; "KS total"; "Rabin"; "PhaseKing"; "agree" ]
+      ~headers:
+        [ "n"; "KS tournament"; "KS amplify"; "amplify/(sqrt n lg n)"; "KS total"; "Rabin";
+          "PhaseKing"; "agree" ]
       t1_bits;
     scaling "t2" ~title:"T2 (Thm 1): latency in synchronous rounds"
       ~headers:[ "n"; "King-Saia"; "Rabin"; "PhaseKing" ]

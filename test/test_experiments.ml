@@ -114,7 +114,14 @@ let test_t1_t2_t10_tables_from_synthetic_points () =
   in
   let pts = [ pt 64; pt 128; pt 256 ] in
   let t1 = Experiments.t1_bits pts in
-  Alcotest.(check int) "t1 rows = points + slope + normalised" 5 (List.length t1);
+  Alcotest.(check int) "t1 rows = points + slope" 4 (List.length t1);
+  Alcotest.(check (list int)) "t1 rows are 8 columns wide" [ 8; 8; 8; 8 ]
+    (List.map List.length t1);
+  (* Amplification bits over sqrt n * lg n, in each point's own row:
+     500 sqrt 64 / (sqrt 64 * 6). *)
+  Alcotest.(check string) "t1 normalised column" "83 b" (List.nth (List.hd t1) 3);
+  Alcotest.(check int) "t1 keeps every point past six" 8
+    (List.length (Experiments.t1_bits (List.init 7 (fun i -> pt (64 lsl i)))));
   let t2 = Experiments.t2_latency pts in
   Alcotest.(check int) "t2 rows" 3 (List.length t2);
   let t10 = Experiments.t10_crossover pts in
