@@ -108,12 +108,12 @@ let equivocate_packed ~dst packed =
 (* One round of batched ballot exchange: every member of every node in
    [nodes] sends its packed election votes to its graph neighbours,
    corrupted members under [behavior].  Returns the inboxes. *)
-let send_ballots comm ~behavior ~adv_rng ~level ~nodes ~ballots ~graph_of =
+let send_ballots comm ~behavior ~adv_rng ~level ~nodes ~ballots ~graphs =
   let msgs = ref [] in
   List.iter
     (fun node ->
       let group = ballots.(node) in
-      let graph = graph_of node in
+      let graph = graphs.(node) in
       for mp = 0 to Aeba_coin.member_count group - 1 do
         let p = Aeba_coin.member group ~pos:mp in
         let packed = pack_votes (Aeba_coin.member_votes group ~pos:mp) in
@@ -262,8 +262,7 @@ let run ?(retries = 0) ?quarantine ~params ~seed ~inputs ~behavior ~strategy ?bu
         else Comm.open_ranges_view comm ~level ~ranges:coin_ranges
       in
       let inboxes =
-        send_ballots comm ~behavior ~adv_rng ~level ~nodes ~ballots
-          ~graph_of:(fun j -> graphs.(j))
+        send_ballots comm ~behavior ~adv_rng ~level ~nodes ~ballots ~graphs
       in
       List.iter
         (fun j ->

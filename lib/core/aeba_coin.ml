@@ -23,8 +23,6 @@ let create ~members ~graph ~inputs ~epsilon ?(eps0 = 0.05) () =
   if Graph.n graph <> m then invalid_arg "Aeba_coin.create: graph size mismatch";
   if Array.length inputs <> m then invalid_arg "Aeba_coin.create: inputs size mismatch";
   let k = if m = 0 then 0 else Array.length inputs.(0) in
-  if Array.exists (fun row -> Array.length row <> k) inputs then
-    invalid_arg "Aeba_coin.create: ragged inputs";
   let pos_of = Hashtbl.create (2 * m) in
   Array.iteri (fun pos p -> Hashtbl.replace pos_of p pos) members;
   {
