@@ -10,19 +10,12 @@ type t = {
   eps0 : float;
   inputs : bool array;  (* instance 0's inputs, for validity *)
   votes : bool array array;  (* votes.(pos).(instance) *)
-  (* Tally scratch: [seen.(spos) = stamp] once the member being tallied
-     has counted [spos]'s ballot; per-instance counts. *)
-  seen : int array;
-  mutable stamp : int;
-  ones : int array;
-  total : int array;
 }
 
 let create ~members ~graph ~inputs ~epsilon ?(eps0 = 0.05) () =
   let m = Array.length members in
   if Graph.n graph <> m then invalid_arg "Aeba_coin.create: graph size mismatch";
   if Array.length inputs <> m then invalid_arg "Aeba_coin.create: inputs size mismatch";
-  let k = if m = 0 then 0 else Array.length inputs.(0) in
   let pos_of = Hashtbl.create (2 * m) in
   Array.iteri (fun pos p -> Hashtbl.replace pos_of p pos) members;
   {
@@ -31,12 +24,8 @@ let create ~members ~graph ~inputs ~epsilon ?(eps0 = 0.05) () =
     graph;
     epsilon;
     eps0;
-    inputs = (if k = 0 then [||] else Array.map (fun row -> row.(0)) inputs);
+    inputs = Array.map (fun row -> Array.length row > 0 && row.(0)) inputs;
     votes = Array.map Array.copy inputs;
-    seen = Array.make m (-1);
-    stamp = 0;
-    ones = Array.make k 0;
-    total = Array.make k 0;
   }
 
 let member_count t = Array.length t.members
@@ -70,40 +59,39 @@ let update_vote ~epsilon ~eps0 ~ones ~total ~coin ~current =
   end
 
 let step t ~inbox ~ballot ~vote ~coin ~good =
-  let k = Array.length t.ones in
   let shortfalls = ref 0 in
   Array.iteri
     (fun pos p ->
       if good p then begin
+        let votes = t.votes.(pos) in
+        let k = Array.length votes in
+        let ones = Array.make k 0 and total = Array.make k 0 in
         (* Count at most one ballot per graph neighbour (flooding defence:
            later duplicates and non-neighbours are discarded). *)
-        t.stamp <- t.stamp + 1;
-        Array.fill t.ones 0 k 0;
-        Array.fill t.total 0 k 0;
+        let seen = Array.make (Array.length t.members) false in
         List.iter
           (fun e ->
             match ballot pos e with
             | None -> ()
             | Some b -> (
               match Hashtbl.find_opt t.pos_of e.src with
-              | Some spos when Graph.adjacent t.graph pos spos && t.seen.(spos) <> t.stamp ->
-                t.seen.(spos) <- t.stamp;
+              | Some spos when Graph.adjacent t.graph pos spos && not seen.(spos) ->
+                seen.(spos) <- true;
                 for i = 0 to k - 1 do
                   match vote b i with
                   | Some v ->
-                    t.total.(i) <- t.total.(i) + 1;
-                    if v then t.ones.(i) <- t.ones.(i) + 1
+                    total.(i) <- total.(i) + 1;
+                    if v then ones.(i) <- ones.(i) + 1
                   | None -> ()
                 done
               | Some _ | None -> ()))
           (inbox pos);
-        if k > 0 && Array.for_all (fun c -> c = 0) t.total then incr shortfalls;
+        if k > 0 && Array.for_all (fun c -> c = 0) total then incr shortfalls;
         let coin = coin pos in
-        let votes = t.votes.(pos) in
         for i = 0 to k - 1 do
           votes.(i) <-
-            update_vote ~epsilon:t.epsilon ~eps0:t.eps0 ~ones:t.ones.(i)
-              ~total:t.total.(i) ~coin:(coin i) ~current:votes.(i)
+            update_vote ~epsilon:t.epsilon ~eps0:t.eps0 ~ones:ones.(i) ~total:total.(i)
+              ~coin:(coin i) ~current:votes.(i)
         done
       end)
     t.members;

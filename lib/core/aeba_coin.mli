@@ -10,21 +10,15 @@
     converge on one good input bit, failing with probability ≈ 2^−r in
     [r] good-coin rounds (Theorem 5).
 
-    This module is the only place that tallies votes and applies the
-    rule.  An instance group {!t} holds [k] vote instances per member,
-    all on one graph:
-
-    - [Ks_core.Ae_ba]'s tournament keeps one group per election node
-      ([k] = candidates × bin bits, one instance per bit of a bin choice)
-      and one single-instance group for the root agreement on the
-      protocol inputs.  It sends its own ballots (bit-packed, under the
-      corrupted members' behaviour policy) on the tree's network, opens
-      the coins from elected arrays, and hands both to {!step};
-    - {!play} is the round loop of a single-instance group on its own
-      network (send every vote, exchange, draw the coin, {!step}).  It
-      serves {!run_standalone} (used by T4 and the tests, the coin an
-      ideal or unreliable oracle) and Rabin's all-to-all baseline
-      ([Ks_baselines.Rabin], the complete graph with an ideal coin). *)
+    This module is the only code that tallies votes and applies the
+    rule.  A group {!t} holds [k] vote instances per member on one graph.
+    [Ks_core.Ae_ba] keeps one group per election node (an instance per
+    bit of each candidate's bin choice) and a single-instance group for
+    the root agreement on the protocol inputs; it sends the ballots
+    itself and hands inboxes and coins to {!step}.  {!play} is the round
+    loop of a single-instance group on its own network, shared by
+    {!run_standalone} (T4, the tests) and Rabin's all-to-all baseline
+    ([Ks_baselines.Rabin]: the complete graph, an ideal coin). *)
 
 type t
 
@@ -65,24 +59,17 @@ val votes : t -> bool array
     sources. *)
 val outgoing : t -> bool Ks_sim.Types.envelope list
 
-(** [step t ~inbox ~ballot ~vote ~coin ~good] — apply one round to every
-    good member (processor ids for which [good] holds).
-
-    [inbox pos] is the list of messages delivered to the member at
-    [pos]; [ballot pos e] reads the ballot of this group out of [e],
-    [None] when [e] is not one or the member refuses it (say, its sender
-    is quarantined).  At most one ballot per graph neighbour is counted:
-    ballots from non-members, from non-neighbours and a sender's repeats
-    are discarded (flooding defence).  [vote b i] is instance [i]'s vote
-    in ballot [b], [None] when the ballot does not carry it.
-
-    [coin pos] is applied once per good member, after its tally; [coin
-    pos i] is then that member's view of instance [i]'s global coin,
-    [None] when the coin never reached it (it keeps the majority value
-    regardless of the fraction test).
-
-    Returns the quorum shortfall: the number of good members of a group
-    with [k] > 0 that counted no vote in any instance. *)
+(** [step t ~inbox ~ballot ~vote ~coin ~good] — one round for every
+    good member ([good] on processor ids).  [inbox pos] lists the
+    messages delivered to position [pos]; [ballot pos e] is the group's
+    ballot in [e], [None] when [e] is none or the member refuses it (a
+    quarantined sender).  At most one ballot per graph neighbour counts:
+    non-members, non-neighbours and repeats are discarded (flooding
+    defence).  [vote b i] is instance [i]'s vote in [b], if carried.
+    After the tally, [coin pos i] is the member's view of instance [i]'s
+    coin ([coin pos] is applied once per member), [None] when the coin
+    never reached it.  Returns the quorum shortfall: good members of a
+    group with [k] > 0 that counted no vote at all. *)
 val step :
   t ->
   inbox:(int -> 'm Ks_sim.Types.envelope list) ->
